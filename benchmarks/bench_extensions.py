@@ -13,7 +13,6 @@ import pytest
 from repro.core.dynamic import DynamicPLL
 from repro.core.index import PLLIndex
 from repro.core.knn import KNNIndex
-from repro.core.pruned_bfs import build_serial_bfs
 from repro.core.serial import build_serial
 from repro.errors import GraphError
 from repro.generators.paper import load_dataset
@@ -80,7 +79,7 @@ def test_bfs_vs_dijkstra_unit_weights(benchmark, graph):
         import time
 
         t0 = time.perf_counter()
-        bfs_store, _ = build_serial_bfs(unit)
+        bfs_store, _ = build_serial(unit, engine="bfs")
         t_bfs = time.perf_counter() - t0
         t0 = time.perf_counter()
         dij_store, _ = build_serial(unit)

@@ -4,10 +4,10 @@ A concurrency-correctness analysis suite, all reachable through
 ``parapll check``:
 
 * :mod:`repro.check.lint` — an AST-based static analyzer with
-  project-specific rules (PC001–PC006, PC012): determinism in
-  simulated paths, lock discipline around shared stores,
-  float-distance comparison hygiene, worker exception hygiene, import
-  layering, label-internal privacy, and the deprecated-shim ban.
+  project-specific rules (PC001–PC006): determinism in simulated
+  paths, lock discipline around shared stores, float-distance
+  comparison hygiene, worker exception hygiene, import layering, and
+  label-internal privacy.
 * :mod:`repro.check.sanitizer` — an opt-in Eraser-style lockset race
   sanitizer that wraps the shared-memory build's hot objects
   (``LabelStore``, ``DynamicAssignment``, ``ThreadComm``) and reports

@@ -44,10 +44,6 @@ checked-in suppression file exactly like PC001–PC006):
   ``repro.cluster`` / ``repro.service``): locks there must come from
   ``repro.check.hooks.make_lock`` so the sanitizers and the deadlock
   recorder can see them.
-
-PC012 (the ``repro.analysis`` shim import ban) lives with the other
-import rules in :mod:`repro.check.lint`, but ``parapll check
-dataflow`` runs it too so the PC007–PC012 catalog is one command.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.check.lint import (
     FileContext,
-    ShimImportRule,
     Suppression,
     Violation,
     _inline_pragmas,
@@ -562,7 +557,7 @@ def analyze_paths(
     paths: Sequence[str],
     suppressions: Optional[Sequence[Suppression]] = None,
 ) -> DataflowReport:
-    """Run the role-inference dataflow lints (PC007–PC011 + PC012).
+    """Run the role-inference dataflow lints (PC007–PC011).
 
     Builds the call graph over every file first (roles propagate across
     files), then checks each function with its inferred roles.  Inline
@@ -572,7 +567,6 @@ def analyze_paths(
     suppressions = list(suppressions or ())
     graph = CallGraph()
     report = DataflowReport()
-    shim_rule = ShimImportRule()
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -611,8 +605,6 @@ def analyze_paths(
             file_hits.extend(_check_pc009(ctx, fn))
             file_hits.extend(_check_pc010(ctx, fn))
         file_hits.extend(_check_pc011(ctx))
-        if shim_rule.applies_to(ctx.module):
-            file_hits.extend(shim_rule.check(ctx))
         pragmas = _inline_pragmas(ctx.lines)
         for violation in file_hits:
             ids = pragmas.get(violation.line, ())

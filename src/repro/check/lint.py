@@ -41,10 +41,6 @@ Rule catalogue (see DESIGN.md §9 for the rationale of each):
   is private to :mod:`repro.core.labels`; every other module reads
   labels through ``finalized_hubs()`` / ``finalized_dists()`` /
   ``finalized_arrays()``.
-* **PC012 deprecated shim** — no new imports of the
-  :mod:`repro.analysis` shim (renamed to :mod:`repro.efficiency`);
-  the shim itself warns at import time and exists only for external
-  callers.
 
 (PC007–PC011, the interprocedural thread-role rules, live in
 :mod:`repro.check.dataflow` — they need the cross-file call graph.)
@@ -82,7 +78,7 @@ __all__ = [
 ]
 
 #: Bumped whenever rule behaviour changes, to invalidate result caches.
-RULES_VERSION = "parapll-lint/2"
+RULES_VERSION = "parapll-lint/3"
 
 #: Default checked-in suppression file, relative to the repo root.
 DEFAULT_SUPPRESSION_FILE = ".parapll-lint.json"
@@ -712,7 +708,7 @@ _LAYER_GROUPS: List[Tuple[str, ...]] = [
     ("repro.core", "repro.digraph", "repro.baselines"),
     ("repro.parallel", "repro.sim"),
     ("repro.cluster", "repro.service", "repro.obs",
-     "repro.efficiency", "repro.analysis", "repro.validate"),
+     "repro.efficiency", "repro.validate"),
     ("repro.check",),
     ("repro.bench", "repro.cli"),
 ]
@@ -844,57 +840,6 @@ class LabelInternalsRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# PC012 — the repro.analysis shim is deprecated
-# ----------------------------------------------------------------------
-#: The deprecated module (renamed to ``repro.efficiency`` in PR 3).
-_SHIM_MODULE = "repro.analysis"
-
-
-class ShimImportRule(Rule):
-    """PC012: no new imports of the deprecated ``repro.analysis`` shim.
-
-    The module was renamed to :mod:`repro.efficiency`; the shim stays
-    for external callers (and warns at import time), but nothing inside
-    the tree may grow a dependency on it.
-    """
-
-    id = "PC012"
-    title = "deprecated-shim-import"
-    hint = (
-        "import from repro.efficiency instead; repro.analysis is a "
-        "deprecated alias kept only for external callers"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        # The shim itself may name itself; everything else is in scope.
-        return module != _SHIM_MODULE
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            hit = False
-            if isinstance(node, ast.Import):
-                hit = any(
-                    alias.name == _SHIM_MODULE
-                    or alias.name.startswith(_SHIM_MODULE + ".")
-                    for alias in node.names
-                )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module == _SHIM_MODULE or (
-                    node.module or ""
-                ).startswith(_SHIM_MODULE + "."):
-                    hit = True
-                elif node.module == "repro" and any(
-                    alias.name == "analysis" for alias in node.names
-                ):
-                    hit = True
-            if hit:
-                yield self.violation(
-                    ctx, node,
-                    "import of the deprecated repro.analysis shim",
-                )
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _RULES: List[Rule] = [
@@ -904,7 +849,6 @@ _RULES: List[Rule] = [
     ExceptionHygieneRule(),
     ImportLayeringRule(),
     LabelInternalsRule(),
-    ShimImportRule(),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Lock-identity naming shared by the dynamic analysis engines.
+"""Lock and thread identities shared by the dynamic analysis engines.
 
 ``repro.check.hooks.make_lock`` names locks by *call site* ("the
 ThreadComm gather lock"), not by *instance* — two communicators both
@@ -15,13 +15,20 @@ readable.
 :func:`base_name` strips the suffix (and any dotted/``self.`` prefix)
 back off for the heuristic matching the deadlock analyzer does between
 runtime lock names and static ``with <expr>`` source text.
+
+:class:`ThreadTokens` names threads: unlike ``threading.get_ident()``,
+which CPython hands to the next thread once one exits, a token is
+never reused, so a short-lived thread started after another one has
+finished is still a different thread to the race engines.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Dict
 
-__all__ = ["LockNameRegistry", "base_name"]
+__all__ = ["LockNameRegistry", "ThreadTokens", "base_name"]
 
 
 class LockNameRegistry:
@@ -53,3 +60,19 @@ def base_name(name: str) -> str:
     """
     head, _, _ = name.partition("#")
     return head.rsplit(".", 1)[-1].strip()
+
+
+class ThreadTokens:
+    """Hands each thread that asks an id no other thread ever gets."""
+
+    def __init__(self) -> None:
+        self._next = itertools.count(1)
+        self._local = threading.local()
+
+    def current(self) -> int:
+        """The calling thread's token, allocated on its first call."""
+        try:
+            return self._local.token
+        except AttributeError:
+            token = self._local.token = next(self._next)
+            return token

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.check import hooks as _hooks
-from repro.check.naming import LockNameRegistry
+from repro.check.naming import LockNameRegistry, ThreadTokens
 from repro.errors import CheckError
 
 __all__ = [
@@ -218,6 +218,7 @@ class LocksetSanitizer:
         self.accesses_tracked = 0
         self.locks_created = 0
         self._tls = threading.local()
+        self._tokens = ThreadTokens()
         self._state: Dict[str, _LocationState] = {}
         self._state_lock = threading.Lock()
         self._lock_names: Dict[int, str] = {}
@@ -278,7 +279,7 @@ class LocksetSanitizer:
             ),
             stack=traceback.format_stack(limit=_STACK_LIMIT)[:-2],
         )
-        me = threading.get_ident()
+        me = self._tokens.current()
         report: Optional[RaceReport] = None
         with self._state_lock:
             self.accesses_tracked += 1

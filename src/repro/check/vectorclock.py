@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check import hooks as _hooks
-from repro.check.naming import LockNameRegistry
+from repro.check.naming import LockNameRegistry, ThreadTokens
 from repro.check.sanitizer import SanitizedLabelStore
 from repro.errors import CheckError
 
@@ -56,8 +56,9 @@ __all__ = [
 #: Frames of context captured per access (cost paid only when on).
 _STACK_LIMIT = 8
 
-#: A vector clock: thread ident -> logical time.  Plain dicts keep the
-#: merge loop allocation-free on the common small sizes.
+#: A vector clock: thread token -> logical time (tokens come from
+#: :class:`~repro.check.naming.ThreadTokens`, never reused).  Plain
+#: dicts keep the merge loop allocation-free on the common small sizes.
 Clock = Dict[int, int]
 
 
@@ -183,9 +184,10 @@ class VCTrackedLock:
 
 
 class _ThreadState:
-    __slots__ = ("clock", "name", "held")
+    __slots__ = ("ident", "clock", "name", "held")
 
     def __init__(self, ident: int, name: str) -> None:
+        self.ident = ident
         self.clock: Clock = {ident: 1}
         self.name = name
         self.held: List[str] = []
@@ -239,6 +241,7 @@ class VectorClockSanitizer:
         self._barriers: Dict[str, Clock] = {}
         self._locations: Dict[str, _LocationState] = {}
         self._names = LockNameRegistry()
+        self._tokens = ThreadTokens()
 
     # -- lifecycle -----------------------------------------------------
     def install(self) -> "VectorClockSanitizer":
@@ -291,7 +294,7 @@ class VectorClockSanitizer:
     # and mutates its own entry, and the individual dict operations are
     # GIL-atomic.
     def _me(self) -> _ThreadState:
-        ident = threading.get_ident()
+        ident = self._tokens.current()
         state = self._threads.get(ident)
         if state is None:
             name = threading.current_thread().name
@@ -303,8 +306,7 @@ class VectorClockSanitizer:
         return state
 
     def _tick(self, state: _ThreadState) -> None:
-        ident = threading.get_ident()
-        state.clock[ident] = state.clock.get(ident, 0) + 1
+        state.clock[state.ident] = state.clock.get(state.ident, 0) + 1
 
     # -- hook surface (called via repro.check.hooks) -------------------
     def make_lock(self, name: str) -> VCTrackedLock:
@@ -390,11 +392,11 @@ class VectorClockSanitizer:
 
     # -- the race check ------------------------------------------------
     def record_access(self, location: str, write: bool = True) -> None:
-        ident = threading.get_ident()
         report: Optional[VCRaceReport] = None
         with self._state_lock:
             self.accesses_tracked += 1
             state = self._me()
+            ident = state.ident
             tick = state.clock.get(ident, 0)
             loc = self._locations.get(location)
             if loc is None:

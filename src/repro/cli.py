@@ -107,15 +107,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 graph, max(args.threads, 1), policy=args.policy,
                 engine=args.engine,
             )
-        elif args.engine == "bfs":
-            from repro.core.pruned_bfs import build_serial_bfs
-            from repro.graph.order import by_degree
-
-            order = by_degree(graph)
-            store, stats = build_serial_bfs(graph, order=order)
-            index = PLLIndex(store, order, graph=graph, stats=stats)
         else:
-            index = PLLIndex.build(graph)
+            index = PLLIndex.build(graph, engine=args.engine)
     if monitor is not None and args.progress_jsonl:
         count = monitor.write_jsonl(args.progress_jsonl)
         print(
@@ -642,13 +635,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     monitor = _buildmon.BuildMonitor(total_roots=graph.num_vertices)
     try:
         with _buildmon.monitored(monitor):
-            if args.threads > 1 or args.engine != "dijkstra":
+            if args.threads > 1:
                 index = build_parallel_threads(
                     graph, args.threads, policy=args.policy,
                     engine=args.engine,
                 )
             else:
-                index = PLLIndex.build(graph)
+                index = PLLIndex.build(graph, engine=args.engine)
     finally:
         obs.configure(
             metrics=previous.metrics, tracing=previous.tracing
@@ -1619,7 +1612,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cf = csub.add_parser(
         "dataflow",
-        help="thread-role dataflow rules PC007..PC012 over a call graph",
+        help="thread-role dataflow rules PC007..PC011 over a call graph",
     )
     cf.add_argument(
         "paths", nargs="*", default=["src"],

@@ -5,7 +5,8 @@ Layering:
 * :mod:`repro.core.labels` — the label store (2-hop-cover index data).
 * :mod:`repro.core.query` — QUERY(s, t, L) implementations.
 * :mod:`repro.core.pruned_dijkstra` — Algorithm 1 (weighted pruned search).
-* :mod:`repro.core.serial` — the serial weighted PLL indexer.
+* :mod:`repro.core.serial` — the serial PLL indexer (one loop for either
+  engine of :mod:`repro.core.engines`).
 * :mod:`repro.core.index` — :class:`~repro.core.index.PLLIndex`, the
   user-facing facade (build / query / save / load / stats).
 * :mod:`repro.core.stats` — label-size statistics and the Figure-6 CDF.
@@ -17,7 +18,7 @@ from repro.core.index import PLLIndex
 from repro.core.knn import KNNIndex
 from repro.core.labels import LabelStore
 from repro.core.paths import reconstruct_shortest_path
-from repro.core.pruned_bfs import PrunedBFS, build_serial_bfs
+from repro.core.pruned_bfs import PrunedBFS
 from repro.core.pruned_dijkstra import PrunedDijkstra
 from repro.core.query import query_distance, query_via_tmp
 from repro.core.serial import build_serial
@@ -35,7 +36,6 @@ __all__ = [
     "query_distance",
     "query_via_tmp",
     "build_serial",
-    "build_serial_bfs",
     "reconstruct_shortest_path",
     "label_cdf",
     "label_size_summary",

@@ -12,7 +12,7 @@ interface.  Two engines exist:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Sequence, Union
 
 from repro.core.pruned_bfs import PrunedBFS
 from repro.core.pruned_dijkstra import PrunedDijkstra
@@ -30,19 +30,13 @@ ENGINES: Dict[str, Callable[..., EngineLike]] = {
 }
 
 
-def make_engine(
-    name: str,
-    graph: CSRGraph,
-    order: Sequence[int],
-    pq_factory: Optional[Callable[[], object]] = None,
-) -> EngineLike:
+def make_engine(name: str, graph: CSRGraph, order: Sequence[int]) -> EngineLike:
     """Instantiate a pruned-search engine by name.
 
     Args:
         name: ``"dijkstra"`` or ``"bfs"``.
         graph: the graph to index.
         order: the vertex ordering.
-        pq_factory: priority-queue override (Dijkstra engine only).
 
     Raises:
         ReproError: for unknown engine names.
@@ -53,6 +47,4 @@ def make_engine(
         raise ReproError(
             f"unknown engine {name!r}; choose from {sorted(ENGINES)}"
         ) from None
-    if name == "dijkstra":
-        return cls(graph, order, pq_factory=pq_factory)
     return cls(graph, order)

@@ -10,7 +10,7 @@ in a ``PLLIndex``.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,10 +67,12 @@ class PLLIndex:
         cls,
         graph: CSRGraph,
         order: Optional[Sequence[int]] = None,
-        pq_factory: Optional[Callable[[], object]] = None,
+        engine: str = "dijkstra",
         collect_per_root: bool = False,
     ) -> "PLLIndex":
-        """Build serially with weighted PLL (Algorithm 1 over all roots).
+        """Build serially: one pruned search per root, in order
+        (Algorithm 1 over all roots with the default ``"dijkstra"``
+        engine).
 
         See :func:`repro.core.serial.build_serial` for parameters.
         """
@@ -81,7 +83,7 @@ class PLLIndex:
         store, stats = build_serial(
             graph,
             order=order,
-            pq_factory=pq_factory,
+            engine=engine,
             collect_per_root=collect_per_root,
         )
         return cls(store, order, graph=graph, stats=stats)

@@ -9,7 +9,8 @@ the same distance order Dijkstra does) and as the faster choice for
 users with unweighted graphs.
 
 The class mirrors :class:`~repro.core.pruned_dijkstra.PrunedDijkstra`'s
-``run``/``commit`` interface, so all builders can swap engines.
+``run``/``commit`` interface, so all builders can swap engines; a serial
+unweighted build is ``build_serial(graph, engine="bfs")``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from repro.core.labels import LabelStore
 from repro.core.query import clear_tmp, load_tmp
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.graph.order import by_degree, ordering_rank, validate_ordering
+from repro.graph.order import ordering_rank, validate_ordering
 from repro.obs.instruments import record_search
-from repro.types import INF, IndexStats, SearchStats
+from repro.types import INF, SearchStats
 
-__all__ = ["PrunedBFS", "build_serial_bfs"]
+__all__ = ["PrunedBFS"]
 
 Delta = List[Tuple[int, float]]
 
@@ -126,41 +127,3 @@ class PrunedBFS:
             raise GraphError(f"vertex {v} out of range")
         return int(self.rank[v])
 
-
-def build_serial_bfs(
-    graph: CSRGraph,
-    order: Optional[Sequence[int]] = None,
-    collect_per_root: bool = False,
-) -> Tuple[LabelStore, IndexStats]:
-    """Serial unweighted PLL: pruned BFS from every root in order.
-
-    Returns:
-        ``(store, stats)`` with the finalized hop-count label store.
-    """
-    import time
-
-    from repro.obs import buildmon as _buildmon
-
-    if order is None:
-        order = by_degree(graph)
-    engine = PrunedBFS(graph, order)
-    store = LabelStore(graph.num_vertices)
-    per_root: List[SearchStats] = []
-    monitor = _buildmon.active()
-    t0 = time.perf_counter()
-    for root in engine.order:
-        if collect_per_root or monitor is not None:
-            s = SearchStats()
-            delta = engine.run(int(root), store, s)
-            if collect_per_root:
-                per_root.append(s)
-            if monitor is not None:
-                monitor.root_done(0, int(root), stats=s)
-        else:
-            delta = engine.run(int(root), store)
-        engine.commit(int(root), delta, store)
-    elapsed = time.perf_counter() - t0
-    store.finalize()
-    stats = IndexStats.from_sizes(store.label_sizes(), elapsed)
-    stats.per_root = per_root
-    return store, stats

@@ -21,7 +21,7 @@ label ``u`` and does not expand it.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.labels import LabelStore
 from repro.core.query import clear_tmp, load_tmp
@@ -44,28 +44,18 @@ class PrunedDijkstra:
         graph: the graph to index.
         order: vertex ordering, most important first; hub "ranks" used in
             labels are positions in this ordering.
-        pq_factory: optional priority-queue constructor implementing
-            :class:`~repro.pq.base.PriorityQueue`.  ``None`` (default)
-            selects an inlined lazy-``heapq`` fast path that profiling
-            shows is markedly faster than going through the protocol.
 
     Thread safety: instances hold mutable scratch state, so each worker
     thread must own its *own* ``PrunedDijkstra`` (they may share the
     graph and the label store; see :mod:`repro.parallel.threads`).
     """
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        order: Sequence[int],
-        pq_factory: Optional[Callable[[], object]] = None,
-    ) -> None:
+    def __init__(self, graph: CSRGraph, order: Sequence[int]) -> None:
         self.graph = graph
         self.order = validate_ordering(graph, order)
         self.rank = ordering_rank(self.order)
         self._rank_list: List[int] = self.rank.tolist()
         self._adj = graph.adjacency_lists()
-        self._pq_factory = pq_factory
         n = graph.num_vertices
         # Dense scratch arrays, reset sparsely after each run.
         self._dist: List[float] = [INF] * n
@@ -76,6 +66,9 @@ class PrunedDijkstra:
         self, root: int, store: LabelStore, stats: Optional[SearchStats] = None
     ) -> Delta:
         """Pruned search from *root*; returns the label delta.
+
+        Algorithm 1 needs only insert and delete-min, so the queue is an
+        inlined lazy-deletion ``heapq`` that re-inserts on relaxation.
 
         Args:
             root: the root vertex (must belong to the bound graph).
@@ -90,15 +83,6 @@ class PrunedDijkstra:
             always first with distance 0.
         """
         self.graph._check_vertex(root)
-        if self._pq_factory is None:
-            return self._run_heapq(root, store, stats)
-        return self._run_generic(root, store, stats)
-
-    # ------------------------------------------------------------------
-    def _run_heapq(
-        self, root: int, store: LabelStore, stats: Optional[SearchStats]
-    ) -> Delta:
-        """Hot path: inlined lazy-deletion heapq."""
         # Hoist everything the inner loop touches into locals.
         adj = self._adj
         dist = self._dist
@@ -150,75 +134,6 @@ class PrunedDijkstra:
                 n_relax += 1
 
         # Sparse reset of the scratch arrays.
-        for v in touched_dist:
-            dist[v] = INF
-        clear_tmp(tmp, touched_tmp)
-
-        record_search(n_settled, n_pruned, len(delta), n_pop, n_scan)
-        if stats is not None:
-            stats.root = root
-            stats.settled = n_settled
-            stats.pruned = n_pruned
-            stats.labels_added = len(delta)
-            stats.relaxations = n_relax
-            stats.heap_pushes = n_push
-            stats.heap_pops = n_pop
-            stats.query_entries_scanned = n_scan
-        return delta
-
-    # ------------------------------------------------------------------
-    def _run_generic(
-        self, root: int, store: LabelStore, stats: Optional[SearchStats]
-    ) -> Delta:
-        """Protocol path: any :class:`~repro.pq.base.PriorityQueue`."""
-        assert self._pq_factory is not None
-        adj = self._adj
-        dist = self._dist
-        tmp = self._tmp
-        root_rank = self._rank_list[root]
-        hubs_of = store.hubs_of
-        dists_of = store.dists_of
-
-        touched_tmp = load_tmp(tmp, store, root, (root_rank, 0.0))
-        touched_dist: List[int] = [root]
-        dist[root] = 0.0
-        pq = self._pq_factory()
-        pq.push(root, 0.0)
-        delta: Delta = []
-
-        n_settled = n_pruned = n_relax = n_push = n_pop = n_scan = 0
-        n_push += 1
-
-        while pq:
-            d, u = pq.pop_min()
-            n_pop += 1
-            if d > dist[u]:
-                continue
-            n_settled += 1
-            hu = hubs_of(u)
-            du = dists_of(u)
-            q = INF
-            # zip beats an index loop by ~35% here (measured; see the
-            # profiling notes in DESIGN.md section 4b).
-            for h_, d_ in zip(hu, du):
-                total = tmp[h_] + d_
-                if total < q:
-                    q = total
-            n_scan += len(hu)
-            if q <= d:
-                n_pruned += 1
-                continue
-            delta.append((u, d))
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    if dist[v] == INF:
-                        touched_dist.append(v)
-                    dist[v] = nd
-                    pq.push(v, nd)
-                    n_push += 1
-                n_relax += 1
-
         for v in touched_dist:
             dist[v] = INF
         clear_tmp(tmp, touched_tmp)

@@ -1,18 +1,19 @@
-"""The serial weighted PLL indexer (the paper's §4.1 baseline).
+"""The serial PLL indexer (the paper's §4.1 baseline).
 
-Runs pruned Dijkstra from every vertex in ordering sequence, committing
-each root's delta before the next root starts — the optimal-pruning
-reference that all parallel variants are compared against (their "PLL"
-and "1 thread" columns in Tables 3 and 4).
+Runs one pruned search (weighted Dijkstra by default, or unweighted
+BFS) from every vertex in ordering sequence, committing each root's
+delta before the next root starts — the optimal-pruning reference that
+all parallel variants are compared against (their "PLL" and "1 thread"
+columns in Tables 3 and 4).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.labels import LabelStore
-from repro.core.pruned_dijkstra import PrunedDijkstra
+from repro.core.engines import make_engine
 from repro.graph.csr import CSRGraph
 from repro.graph.order import by_degree
 from repro.obs import buildmon as _buildmon
@@ -26,7 +27,7 @@ __all__ = ["build_serial"]
 def build_serial(
     graph: CSRGraph,
     order: Optional[Sequence[int]] = None,
-    pq_factory: Optional[Callable[[], object]] = None,
+    engine: str = "dijkstra",
     collect_per_root: bool = False,
 ) -> Tuple[LabelStore, IndexStats]:
     """Build a complete 2-hop-cover label set serially.
@@ -35,11 +36,14 @@ def build_serial(
         graph: the graph to index.
         order: vertex ordering (defaults to descending degree, the
             paper's choice).
-        pq_factory: optional priority-queue override (ablation hook).
-        collect_per_root: also record one :class:`SearchStats` per root
-            in indexing order.  Needed by the Figure-6 CDF and by the
-            simulator's cost calibration; off by default because the
-            counters add measurable overhead to the hot loop.
+        engine: pruned-search engine name (see
+            :mod:`repro.core.engines`): ``"dijkstra"`` (weighted, the
+            paper's Algorithm 1) or ``"bfs"`` (unweighted hop counts).
+        collect_per_root: also keep one :class:`SearchStats` per root
+            in indexing order, as needed by the Figure-6 CDF and the
+            simulator's cost calibration.  The search counts its
+            operations either way; this only decides whether a stats
+            object is filled in and kept for each root.
 
     Returns:
         ``(store, stats)`` — the label store (already finalized) and the
@@ -49,7 +53,7 @@ def build_serial(
     with timer.phase("order"):
         if order is None:
             order = by_degree(graph)
-        engine = PrunedDijkstra(graph, order, pq_factory=pq_factory)
+        search = make_engine(engine, graph, order)
     store = LabelStore(graph.num_vertices)
 
     per_root: list[SearchStats] = []
@@ -61,23 +65,16 @@ def build_serial(
     with timer.phase("search"), _trace.span(
         "build_serial", n=graph.num_vertices
     ):
-        if collect:
-            for root in engine.order:
-                with _trace.span("root_search", root=int(root), worker=0) as sp:
-                    stats = SearchStats()
-                    delta = engine.run(int(root), store, stats)
-                    engine.commit(int(root), delta, store)
-                    sp.set(labels=len(delta))
-                if collect_per_root:
-                    per_root.append(stats)
-                if monitor is not None:
-                    monitor.root_done(0, int(root), stats=stats)
-        else:
-            for root in engine.order:
-                with _trace.span("root_search", root=int(root), worker=0) as sp:
-                    delta = engine.run(int(root), store)
-                    engine.commit(int(root), delta, store)
-                    sp.set(labels=len(delta))
+        for root in search.order.tolist():
+            root_stats = SearchStats() if collect else None
+            with _trace.span("root_search", root=root, worker=0) as sp:
+                delta = search.run(root, store, root_stats)
+                search.commit(root, delta, store)
+                sp.set(labels=len(delta))
+            if collect_per_root:
+                per_root.append(root_stats)
+            if monitor is not None:
+                monitor.root_done(0, root, stats=root_stats)
     elapsed = time.perf_counter() - t0
 
     with timer.phase("finalize"):

@@ -1,5 +1,5 @@
 """Clean patterns that superficially resemble the seeded defects but
-follow the rules — none of PC007–PC012 may fire here."""
+follow the rules — none of PC007–PC011 may fire here."""
 
 from repro.check import hooks
 

@@ -1,8 +1,7 @@
 """Seeded defect: two threads write one location with no lock and no
 happens-before edge — the canonical data race.
 
-The raw Barrier keeps both threads alive simultaneously (so they get
-distinct idents; CPython reuses idents of finished threads) without
+The raw Barrier makes the two threads' writes overlap in time without
 giving the detector a sync edge — it is not a tracked barrier."""
 
 import threading

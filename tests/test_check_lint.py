@@ -382,62 +382,6 @@ class TestLabelInternalsRule:
         assert not hits(rep, "PC006")
 
 
-class TestShimImportRule:
-    def test_plain_import_fires(self, tmp_path):
-        _, rep = lint_snippet(
-            tmp_path, "repro/core/legacy.py",
-            """\
-            import repro.analysis
-            """,
-        )
-        (v,) = hits(rep, "PC012")
-        assert v.line == 1
-
-    def test_from_import_fires(self, tmp_path):
-        _, rep = lint_snippet(
-            tmp_path, "repro/core/legacy.py",
-            """\
-            from repro.analysis import audit_index
-            """,
-        )
-        assert len(hits(rep, "PC012")) == 1
-
-    def test_from_repro_import_analysis_fires(self, tmp_path):
-        _, rep = lint_snippet(
-            tmp_path, "repro/core/legacy.py",
-            """\
-            from repro import analysis
-            """,
-        )
-        assert len(hits(rep, "PC012")) == 1
-
-    def test_efficiency_import_is_fine(self, tmp_path):
-        _, rep = lint_snippet(
-            tmp_path, "repro/core/modern.py",
-            """\
-            from repro.efficiency import proposition2_bound
-            """,
-        )
-        assert not hits(rep, "PC012")
-
-    def test_the_shim_itself_is_exempt(self, tmp_path):
-        _, rep = lint_snippet(
-            tmp_path, "repro/analysis.py",
-            """\
-            import repro.analysis
-            """,
-        )
-        assert not hits(rep, "PC012")
-
-    def test_shim_still_warns_on_import(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.analysis", None)
-        with pytest.warns(DeprecationWarning, match="repro.efficiency"):
-            importlib.import_module("repro.analysis")
-
-
 class TestEngine:
     def test_syntax_error_reports_pc000(self, tmp_path):
         _, rep = lint_snippet(
@@ -537,7 +481,7 @@ class TestEngine:
     def test_rule_registry_is_complete(self):
         ids = [r.id for r in all_rules()]
         assert ids == [
-            "PC001", "PC002", "PC003", "PC004", "PC005", "PC006", "PC012",
+            "PC001", "PC002", "PC003", "PC004", "PC005", "PC006",
         ]
 
 

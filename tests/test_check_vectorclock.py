@@ -186,6 +186,43 @@ class TestHappensBefore:
             assert "RACE on loc" in str(boom[0])
 
 
+class TestSequentialThreads:
+    """CPython reuses a thread's ident once it exits, so threads run one
+    after another must still count as distinct threads."""
+
+    @staticmethod
+    def _run_one(name, fn):
+        t = threading.Thread(target=fn, name=name)
+        hooks.fork(name)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        hooks.join(name)
+
+    def test_lockset_sees_sequential_writers_as_shared(self):
+        san = LocksetSanitizer()
+        with san:
+            lock = san.make_lock("commit")
+
+            def worker():
+                with lock:
+                    san.record_access("loc", write=True)
+
+            for i in range(3):
+                self._run_one(f"w{i}", worker)
+            san.record_access("loc", write=False)
+        assert not san.ok  # the unlocked read after the commits
+
+    def test_vc_merges_each_readers_fork_edge(self, vc):
+        def reader():
+            vc.record_access("loc", write=False)
+
+        for i in range(2):
+            vc.record_access("loc", write=True)
+            self._run_one(f"r{i}", reader)
+        assert vc.ok, vc.render()
+
+
 class TestCommitOnCompletion:
     """Proposition 1 as a happens-before fact (not a whitelist)."""
 

@@ -9,7 +9,6 @@ from repro.baselines.dijkstra import dijkstra_sssp
 from repro.core.index import PLLIndex
 from repro.errors import GraphError
 from repro.graph.order import by_degree
-from repro.pq import PQ_IMPLEMENTATIONS
 
 
 class TestBuildQuery:
@@ -55,13 +54,6 @@ class TestBuildQuery:
             index.store.avg_label_size
         )
         assert index.num_vertices == random_graph.num_vertices
-
-    def test_custom_pq(self, random_graph):
-        index = PLLIndex.build(
-            random_graph, pq_factory=PQ_IMPLEMENTATIONS["pairing"]
-        )
-        truth = dijkstra_sssp(random_graph, 1)
-        assert index.distance(1, 20) == truth[20]
 
     def test_custom_order(self, random_graph):
         order = list(reversed(by_degree(random_graph).tolist()))

@@ -70,17 +70,6 @@ class TestEngineRegistry:
         with pytest.raises(ReproError, match="unknown engine"):
             make_engine("astar", random_graph, by_degree(random_graph))
 
-    def test_pq_factory_passed_to_dijkstra(self, random_graph):
-        from repro.pq import PairingHeap
-
-        engine = make_engine(
-            "dijkstra",
-            random_graph,
-            by_degree(random_graph),
-            pq_factory=PairingHeap,
-        )
-        assert engine._pq_factory is PairingHeap
-
 
 class TestRunnerEdgeCases:
     def test_unknown_experiment_raises(self):

@@ -7,7 +7,6 @@ from repro.core.pruned_dijkstra import PrunedDijkstra
 from repro.baselines.dijkstra import dijkstra_sssp
 from repro.errors import GraphError, OrderingError
 from repro.graph.order import by_degree
-from repro.pq import PQ_IMPLEMENTATIONS
 from repro.types import SearchStats
 
 from .conftest import build_graph
@@ -105,24 +104,6 @@ class TestStats:
         engine.run(0, store, stats)
         assert stats.pruned >= 1
         assert stats.settled == stats.pruned + stats.labels_added
-
-
-class TestGenericPQ:
-    @pytest.mark.parametrize("pq_name", list(PQ_IMPLEMENTATIONS))
-    def test_matches_fast_path(self, random_graph, pq_name):
-        order = by_degree(random_graph)
-        fast = PrunedDijkstra(random_graph, order)
-        slow = PrunedDijkstra(
-            random_graph, order, pq_factory=PQ_IMPLEMENTATIONS[pq_name]
-        )
-        store_f = LabelStore(random_graph.num_vertices)
-        store_s = LabelStore(random_graph.num_vertices)
-        for root in order:
-            df = fast.run(int(root), store_f)
-            ds = slow.run(int(root), store_s)
-            assert sorted(df) == sorted(ds)
-            fast.commit(int(root), df, store_f)
-            slow.commit(int(root), ds, store_s)
 
 
 class TestValidation:
