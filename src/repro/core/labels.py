@@ -43,30 +43,49 @@ def _sort_dedup_flat(
     hub_lists: Sequence[Sequence[int]],
     dist_lists: Sequence[Sequence[float]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-vertex label lists into a sorted, deduplicated CSR triple.
-
-    Entries are sorted by (vertex, hub rank, distance) in one global
-    ``lexsort``; duplicated (vertex, hub) pairs — which arise from
-    delayed synchronisation — keep the smallest distance, which by
-    construction is the true distance (every stored distance for the
-    same pair comes from an exact Dijkstra run from the hub).
-    """
+    """Flatten per-vertex label lists into a sorted, deduplicated CSR triple."""
     sizes = np.fromiter((len(h) for h in hub_lists), dtype=np.int64, count=n)
-    total = int(sizes.sum())
-    hubs = np.empty(total, dtype=np.int64)
-    dists = np.empty(total, dtype=np.float64)
+    # The flat arrays go to the sort as temporaries, bound to no name
+    # here, so it can free each one once it holds a sorted copy.
+    return _sort_dedup_entries(
+        n,
+        np.repeat(np.arange(n, dtype=np.int64), sizes),
+        _flatten(hub_lists, sizes, np.int64),
+        _flatten(dist_lists, sizes, np.float64),
+    )
+
+
+def _flatten(
+    lists: Sequence[Sequence[float]], sizes: np.ndarray, dtype: type
+) -> np.ndarray:
+    """The first ``sizes[v]`` entries of every ``lists[v]``, concatenated."""
+    out = np.empty(int(sizes.sum()), dtype=dtype)
     pos = 0
-    for v in range(n):
-        k = int(sizes[v])
+    for v, k in enumerate(sizes.tolist()):
         if k:
             # The lock-free writer appends the distance before the hub,
             # so either list may momentarily run one entry long relative
             # to the committed length captured in ``sizes``; the first k
             # entries of both are the committed ones.
-            hubs[pos:pos + k] = hub_lists[v][:k]
-            dists[pos:pos + k] = dist_lists[v][:k]
+            out[pos:pos + k] = lists[v][:k]
             pos += k
-    owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    return out
+
+
+def _sort_dedup_entries(
+    n: int, owner: np.ndarray, hubs: np.ndarray, dists: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``(vertex, hub rank, dist)`` entries, in any order, as a
+    sorted, deduplicated CSR triple ``(indptr, hubs, dists)``.
+
+    Entries are sorted by (vertex, hub rank, distance) in one global
+    ``lexsort``; duplicated (vertex, hub) pairs — which arise from
+    delayed synchronisation — keep the smallest distance, which by
+    construction is the true distance (every stored distance for the
+    same pair comes from an exact Dijkstra run from the hub).  The
+    returned arrays never alias the inputs.
+    """
+    total = len(hubs)
     if total:
         order = np.lexsort((dists, hubs, owner))
         hubs = hubs[order]
@@ -78,9 +97,11 @@ def _sort_dedup_flat(
         hubs = hubs[keep]
         dists = dists[keep]
         owner = owner[keep]
-    counts = np.bincount(owner, minlength=n) if total else np.zeros(
-        n, dtype=np.int64
-    )
+        counts = np.bincount(owner, minlength=n)
+    else:
+        hubs = np.empty(0, dtype=np.int64)
+        dists = np.empty(0, dtype=np.float64)
+        counts = np.zeros(n, dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, hubs, dists
@@ -244,15 +265,17 @@ class LabelStore:
         if self._hubs is None:
             self._thaw()
         hubs_l, dists_l = self._hubs, self._dists
-        count = 0
-        for v, h, d in zip(verts, hub_ranks, dists):
-            v = int(v)
-            dists_l[v].append(float(d))
-            hubs_l[v].append(int(h))
-            count += 1
-        if count:
+        # One bulk conversion to native ints/floats instead of one
+        # int()/float() call per numpy scalar.
+        vs = np.asarray(verts, dtype=np.int64).tolist()
+        hs = np.asarray(hub_ranks, dtype=np.int64).tolist()
+        ds = np.asarray(dists, dtype=np.float64).tolist()
+        for v, h, d in zip(vs, hs, ds):
+            dists_l[v].append(d)
+            hubs_l[v].append(h)
+        if vs:
             self._invalidate()
-        return count
+        return len(vs)
 
     # ------------------------------------------------------------------
     # Read access (pruning path)
@@ -489,6 +512,31 @@ class LabelStore:
         store._finalized_hubs = hubs
         store._finalized_dists = dists
         return store
+
+    @classmethod
+    def from_entries(
+        cls,
+        n: int,
+        verts: np.ndarray,
+        hub_ranks: np.ndarray,
+        dists: np.ndarray,
+    ) -> "LabelStore":
+        """A finalized store from flat parallel entry arrays, in any
+        order, with the same sort and dedup as :meth:`finalize`.
+
+        Builds the CSR triple straight from the arrays, with no
+        per-vertex Python lists; the returned store is frozen like one
+        from :meth:`from_arrays`.
+        """
+        return cls.from_arrays(
+            *_sort_dedup_entries(
+                n,
+                np.asarray(verts, dtype=np.int64),
+                np.asarray(hub_ranks, dtype=np.int64),
+                np.asarray(dists, dtype=np.float64),
+            ),
+            validate=False,
+        )
 
     # ------------------------------------------------------------------
     def _min_entry_map(self, v: int) -> Dict[int, float]:

@@ -352,6 +352,12 @@ class GrowableLabelLog:
         self._current = bigger
         self._generations.append(bigger)
 
+    def read(
+        self, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries ``[lo, hi)`` of the current generation (views)."""
+        return self._current.read(lo, hi)
+
     def close_all(self) -> None:
         """Close and unlink every generation (build teardown)."""
         for log in self._generations:

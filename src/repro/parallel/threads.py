@@ -123,12 +123,10 @@ def build_parallel_threads(
                 with _trace.span(
                     "root_search", worker=worker_id, root=root
                 ) as sp:
-                    if monitor is not None:
-                        root_stats = SearchStats()
-                        delta = search.run(root, store, root_stats)
-                    else:
-                        root_stats = None
-                        delta = search.run(root, store)
+                    root_stats = (
+                        SearchStats() if monitor is not None else None
+                    )
+                    delta = search.run(root, store, root_stats)
                     root_rank = search.rank_of(root)
                     t_req = perf()
                     with commit_lock:

@@ -174,7 +174,7 @@ class _ExplodingEngine:
     def __init__(self, order):
         self._order = order
 
-    def run(self, root, store):
+    def run(self, root, store, stats=None):
         raise RuntimeError(f"engine exploded on root {root}")
 
     def rank_of(self, root):

@@ -18,6 +18,7 @@ parent, so they inherit the patched registry.
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -27,9 +28,17 @@ from repro.core import engines
 from repro.core.index import PLLIndex
 from repro.core.serial import build_serial
 from repro.errors import GraphError, TaskError
+from repro.generators.paper import load_dataset
 from repro.generators.random_graphs import gnm_random_graph
-from repro.parallel.procs import build_parallel_procs
+from repro.graph.order import by_degree
+from repro.parallel.procs import (
+    BLOCK_LABELS,
+    BLOCK_SHARE,
+    build_parallel_procs,
+)
 from repro.parallel.shm import GrowableLabelLog, LabelLog, SharedGraph
+
+from .conftest import build_graph
 
 #: The chaos tests depend on fork semantics (inherited monkeypatches,
 #: process sentinels); the whole module is Linux/fork-oriented.
@@ -142,6 +151,24 @@ def test_every_label_entry_is_a_true_distance(medium_graph):
             assert truth[v] == dist
 
 
+@pytest.mark.parametrize("dataset, scale", [("Gnutella", 2), ("DE-USA", 2)])
+def test_label_growth_within_bound(dataset, scale):
+    """Blocks of roots prune against labels as of the block start, which
+    only adds redundant entries (Propositions 1 and 2).  On a power-law
+    and a road stand-in at p=2 the index stays Dijkstra-exact and at
+    most 10% larger than the serial one."""
+    graph = load_dataset(dataset, scale)
+    serial_store, _ = build_serial(graph)
+    index = build_parallel_procs(graph, 2)
+    for s in range(0, graph.num_vertices, graph.num_vertices // 5):
+        truth = dijkstra_sssp(graph, s)
+        got = index.distance_batch(
+            [(s, t) for t in range(graph.num_vertices)]
+        )
+        assert np.array_equal(got, truth)
+    assert index.store.total_entries <= 1.10 * serial_store.total_entries
+
+
 def test_stats_recorded(random_graph):
     index = build_parallel_procs(random_graph, 2)
     assert index.stats is not None
@@ -186,22 +213,28 @@ class _PoisonEngine:
     it from the parent after the build dies.
     """
 
-    def __init__(self, inner, poison, counter=None, kill=False):
+    def __init__(
+        self, inner, poison, counter=None, kill=False, delay=0.0,
+        at_poison=None,
+    ):
         self._inner = inner
         self._poison = poison
         self._counter = counter
         self._kill = kill
+        self._delay = delay
+        self._at_poison = at_poison
 
     def run(self, root, store, stats=None):
         if self._counter is not None:
             with self._counter.get_lock():
                 self._counter.value += 1
         if root == self._poison:
+            if self._at_poison is not None:
+                self._at_poison.value = self._counter.value
             if self._kill:
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError(f"poisoned root {root}")
-        if stats is None:
-            return self._inner.run(root, store)
+        time.sleep(self._delay)
         return self._inner.run(root, store, stats)
 
     def rank_of(self, v):
@@ -211,7 +244,7 @@ class _PoisonEngine:
         return self._inner.commit(root, delta, store)
 
 
-def _patch_poison(monkeypatch, poison_index, counter=None, kill=False):
+def _patch_poison(monkeypatch, poison_index, counter=None, **options):
     """Patch the engine registry with a poisoned wrapper (fork-visible)."""
     real = engines.make_engine
 
@@ -221,7 +254,7 @@ def _patch_poison(monkeypatch, poison_index, counter=None, kill=False):
             real(kind, graph, order, **kwargs),
             poison,
             counter=counter,
-            kill=kill,
+            **options,
         )
 
     monkeypatch.setattr(engines, "make_engine", patched)
@@ -255,6 +288,38 @@ def test_fail_fast_aborts_promptly(random_graph, monkeypatch):
     assert counter.value < n // 2
 
 
+def test_fail_fast_stops_inside_a_block(monkeypatch):
+    """Fail-fast is per root, not per block: a survivor stops between
+    two roots of its block instead of finishing the block.
+
+    Leaves of a star add one label each.  The hub's root commits one
+    label per leaf, enough that the share cap allows ``BLOCK_LABELS``
+    labels per block, so after a leaf or two a worker gets blocks of
+    ``BLOCK_LABELS`` roots.  Each root is slowed down, and with static
+    round-robin dispatch both workers run in step.  The poison sits 30
+    roots into worker 0's first big block, when worker 1 still has
+    about 90 roots of its own block to go.
+    """
+    leaves = BLOCK_SHARE * BLOCK_LABELS
+    star = build_graph([(0, v, 1.0 + v % 7) for v in range(1, leaves + 1)])
+    counter = multiprocessing.Value("i", 0)
+    at_poison = multiprocessing.Value("i", 0)
+    # Worker 0 takes order[0::2]: the hub, a leaf, then a big block.
+    _patch_poison(
+        monkeypatch,
+        poison_index=2 * (2 + 30),
+        counter=counter,
+        delay=0.01,
+        at_poison=at_poison,
+    )
+    with pytest.raises(ValueError):
+        build_parallel_procs(star, 2, policy="static", timeout=60.0)
+    assert at_poison.value > 0
+    # Roots attempted after the poison: the survivor's next root or
+    # two, against about 90 if it finished its block.
+    assert counter.value - at_poison.value < BLOCK_LABELS // 8
+
+
 def test_sigkilled_worker_is_a_clean_error_not_a_hang(
     random_graph, monkeypatch
 ):
@@ -267,6 +332,10 @@ def test_sigkilled_worker_is_a_clean_error_not_a_hang(
     assert "died" in str(err)
     assert err.worker in (0, 1)
     assert err.exitcode == -signal.SIGKILL
+    # No root of the dead worker's block came back: the error names
+    # its first root and the whole block, which holds the poison.
+    assert err.root == err.roots[0]
+    assert int(by_degree(random_graph)[7]) in err.roots
 
 
 def test_larger_graph_many_procs():

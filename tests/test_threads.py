@@ -98,8 +98,6 @@ def test_poisoned_root_fails_fast(random_graph, monkeypatch):
             attempts.append(root)
             if root == self._poison:
                 raise ValueError(f"poisoned root {root}")
-            if stats is None:
-                return self._inner.run(root, store)
             return self._inner.run(root, store, stats)
 
         def rank_of(self, v):
