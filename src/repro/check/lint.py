@@ -687,7 +687,6 @@ class ExceptionHygieneRule(Rule):
 #: Sanctioned low-overhead observability facades importable from below.
 _OBS_FACADES = {
     "repro.obs.buildmon",
-    "repro.obs.bus",
     "repro.obs.config",
     "repro.obs.flightrec",
     "repro.obs.instruments",

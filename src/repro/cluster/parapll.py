@@ -29,7 +29,6 @@ from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.graph.order import by_degree
 from repro.obs import buildmon as _buildmon
-from repro.obs import bus as _bus
 from repro.obs import context as _ctx
 from repro.obs import flightrec as _flightrec
 from repro.obs import trace as _trace
@@ -204,9 +203,6 @@ def simulate_cluster(
         )
         _buildmon.report_note(
             "sync_round", round=j, entries=round_entries, nodes=num_nodes
-        )
-        _bus.publish_event(
-            "cluster_sync", round=j, entries=round_entries, nodes=num_nodes
         )
         with _ctx.activate(build_ctx), _trace.span(
             "cluster_sync",

@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check import hooks as _check_hooks
 from repro.errors import CommError
-from repro.obs import bus as _bus
 from repro.obs import config as _obs_config
 from repro.obs import context as _ctx
 from repro.obs import flightrec as _flightrec
@@ -184,9 +183,7 @@ class ThreadComm:
             self._gather_slots[rank] = env
             self._gather_filled[rank] = True
         self.barrier(rank)  # everyone has written
-        # Cross-process telemetry: one bus event per completed gather
-        # phase (no-op global load unless a relay installed a bus).
-        _bus.publish_event("comm_allgather", rank=rank, ranks=self.size)
+        _flightrec.record("comm_allgather", rank=rank, ranks=self.size)
         result = []
         for src, raw in enumerate(self._gather_slots):
             slot_payload, env_ctx, flow_id = _ctx.unwrap(raw)

@@ -45,12 +45,12 @@ the TCP serving layer all feed one process-wide metrics registry and
   Zipf skew fit, hot vertices/pairs, simulated LRU hit-rate curve
   (``parapll-workload/1``).
 * :mod:`repro.obs.bus` / :mod:`repro.obs.relay` — the cross-process
-  telemetry plane (``parapll-telemetry/1``): a bounded non-blocking
-  event bus in every worker process, a socket relay with periodic and
-  at-exit flushes, and a parent-side collector that merges metrics
-  (counters sum, gauges LWW tagged by source, histograms bucket-merge)
-  and stitches spans/flightrec events into one fleet-wide Chrome trace
-  — the sensor layer behind ``parapll dash``.
+  telemetry plane (``parapll-telemetry/2``): a socket relay that ships
+  each worker process's metric deltas, spans and flight-recorder ring
+  tail with periodic and at-exit flushes, and a parent-side collector
+  that merges metrics (counters sum, gauges LWW tagged by source,
+  histograms bucket-merge) and stitches spans and events into one
+  fleet-wide Chrome trace — the sensor layer behind ``parapll dash``.
 
 Metrics are default-on (cheap counter bumps); tracing is opt-in::
 
@@ -80,8 +80,6 @@ from repro.obs.buildmon import (
 from repro.obs.bus import (
     TELEMETRY_SCHEMA,
     MetricsDelta,
-    TelemetryBus,
-    publish_event,
 )
 from repro.obs.config import ObsConfig, configure, current_config
 from repro.obs.context import (
@@ -215,9 +213,7 @@ __all__ = [
     "characterize",
     "render_workload",
     "TELEMETRY_SCHEMA",
-    "TelemetryBus",
     "MetricsDelta",
-    "publish_event",
     "RelayClient",
     "Collector",
     "render_fleet",

@@ -27,7 +27,8 @@ Each emitted snapshot goes three places at once:
 * the monitor's own event list, exportable as ``parapll-buildmon/1``
   JSONL via :meth:`BuildMonitor.write_jsonl`;
 * the process-wide flight recorder (kind ``build_progress``), so a
-  worker/rank failure dump includes the last N build-progress frames;
+  worker/rank failure dump includes the last N build-progress frames
+  and a telemetry relay ships them to the fleet dashboard;
 * the metrics registry gauges (``parapll_buildmon_*``), so a scrape of
   a building process shows live progress.
 
@@ -324,6 +325,7 @@ class BuildMonitor:
             total_roots=snap["total_roots"],
             labels_total=snap["labels_total"],
             labels_per_second=round(snap["labels_per_second"], 3),
+            roots_per_second=round(snap["roots_per_second"], 3),
             prune_ratio=round(snap["prune_ratio"], 4),
             eta_seconds=(
                 round(snap["eta_seconds"], 3)
@@ -331,6 +333,7 @@ class BuildMonitor:
                 else None
             ),
             stalled_workers=snap["stalled_workers"],
+            final=snap["final"],
         )
         for worker in sorted(newly_stalled):
             _flightrec.record(
@@ -425,21 +428,10 @@ class BuildMonitor:
 # ----------------------------------------------------------------------
 _active: Optional[BuildMonitor] = None
 
-#: The most recently *finished* monitor (set by :func:`monitored` on
-#: exit).  Late observers — the telemetry relay's periodic flush, which
-#: can miss a sub-interval build entirely — read this to ship the final
-#: progress snapshot after the monitored scope has already closed.
-_last_finished: Optional[BuildMonitor] = None
-
 
 def active() -> Optional[BuildMonitor]:
     """The currently installed monitor, or ``None``."""
     return _active
-
-
-def last_finished() -> Optional[BuildMonitor]:
-    """The most recently finished :func:`monitored` monitor, if any."""
-    return _last_finished
 
 
 def install(monitor: BuildMonitor) -> BuildMonitor:
@@ -462,7 +454,7 @@ def monitored(monitor: BuildMonitor) -> Iterator[BuildMonitor]:
     The previously installed monitor (if any) is restored on exit, so
     nested scopes compose.
     """
-    global _active, _last_finished
+    global _active
     previous = _active
     _active = monitor
     try:
@@ -470,7 +462,6 @@ def monitored(monitor: BuildMonitor) -> Iterator[BuildMonitor]:
     finally:
         _active = previous
         monitor.finish()
-        _last_finished = monitor
 
 
 def report_root(

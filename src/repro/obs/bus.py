@@ -1,62 +1,52 @@
-"""The telemetry bus: a process-local, non-blocking event queue.
+"""The telemetry wire format: stream header, frame kinds, metric deltas.
 
-Every observability layer so far (metrics, traces, flightrec, buildmon,
-qlog) lives in module-level in-process state that goes dark across a
-``fork``/``spawn`` boundary — exactly the boundary ParaPLL's
-rank×thread story is about.  The bus is the first half of the fix: a
-bounded, lock-light queue that producers append *frames* to without
-ever blocking, and that an exporter (:mod:`repro.obs.relay`) drains and
-ships to a collector in another process.
+Every observability layer (metrics, traces, the flight recorder) lives
+in module-level in-process state that goes dark across a
+``fork``/``spawn`` boundary, the boundary ParaPLL's rank x thread story
+is about.  :mod:`repro.obs.relay` ships that state to a collector in
+another process; this module defines what goes over the wire.
 
-Design rules, in priority order:
+There is no separate event queue.  Producers call
+:func:`repro.obs.flightrec.record`, the flight recorder's ring is the
+process's only event buffer, and the relay reads its tail by ``seq``
+cursor (:class:`~repro.obs.flightrec.RingCursor`).  An event evicted
+from the ring before the relay shipped it is counted as dropped.
 
-* **Never block or slow the instrumented path.**  ``publish`` is one
-  lock acquisition around a deque append; when the queue is full the
-  frame is *dropped and counted*, never waited on.  With no bus
-  installed the module-level :func:`publish_event` hook costs one
-  global load and an ``is None`` test — the same discipline as
-  :mod:`repro.obs.buildmon` and :mod:`repro.obs.qlog`.
-* **Drops are explicit.**  Per-kind drop counters ride along in every
-  shipped frame batch, so the collector (and ``parapll obs``) can
-  always distinguish "quiet" from "overloaded".
-* **Clock discipline.**  Every frame carries both ``ts`` (wall, for
-  event timestamps in merged output) and ``mono`` (monotonic, for every
-  *interval* computation: queue lag, flush age).  Lag is never derived
-  from wall clocks — a stepped clock must not fake a telemetry stall.
-
-Wire schema (``parapll-telemetry/1``): a stream of JSON objects.  The
+Wire schema (``parapll-telemetry/2``): a stream of JSON objects.  The
 first is a header identifying the source process::
 
-    {"kind": "header", "schema": "parapll-telemetry/1",
+    {"kind": "header", "schema": "parapll-telemetry/2",
      "pid": 4242, "rank": 1, "capacity": 4096}
 
-Every following object is one frame::
+``capacity`` is the source's event-ring size.  Every following object
+is one frame::
 
-    {"kind": "metrics" | "spans" | "flightrec" | "buildmon" | "events",
+    {"kind": "metrics" | "spans" | "events",
      "seq": 17, "ts": 1754650000.1, "mono": 12.482,
-     "dropped": {"events": 0},            # cumulative per-kind drops
-     "payload": ...}
+     "dropped": 0,        # cumulative events evicted before shipping
+     "lag": 0.003,        # monotonic age of the oldest event shipped
+     "payload": [...]}
 
-* ``metrics`` — a batch of per-series *deltas* since the previous
-  metrics frame (see :class:`MetricsDelta`); counters and histograms
-  ship increments so the collector can merge by summing, gauges ship
-  current values for last-write-wins.
-* ``spans`` — a batch of :class:`~repro.obs.trace.TraceRecord` dicts.
-* ``flightrec`` — a batch of flight-recorder events.
-* ``buildmon`` — one build-monitor progress snapshot.
-* ``events`` — explicit producer events published by the instrumented
-  build/serve paths via :func:`publish_event`.
+* ``metrics`` — per-series *deltas* since the previous metrics frame
+  (see :class:`MetricsDelta`); counters and histograms ship increments
+  so the collector can merge by summing, gauges ship current values
+  for last-write-wins.
+* ``spans`` — :class:`~repro.obs.trace.TraceRecord` dicts.
+* ``events`` — flight-recorder events (``seq``, ``ts``, ``mono``,
+  ``kind``, ``thread``, ``attrs``), including the build monitor's
+  ``build_progress`` snapshots.
+
+Clock discipline: ``ts`` is wall time, for event timestamps in merged
+output; ``mono`` is monotonic, for every *interval* (lag, flush age).
+A stepped wall clock must not fake a telemetry stall.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import threading
-import time
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs import flightrec as _flightrec
 from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
@@ -66,110 +56,30 @@ from repro.obs.metrics import (
 __all__ = [
     "TELEMETRY_SCHEMA",
     "FRAME_KINDS",
-    "DEFAULT_CAPACITY",
-    "TelemetryBus",
     "MetricsDelta",
-    "active",
-    "install",
-    "uninstall",
-    "publish_event",
+    "stream_header",
 ]
 
-TELEMETRY_SCHEMA = "parapll-telemetry/1"
+TELEMETRY_SCHEMA = "parapll-telemetry/2"
 
 #: The frame kinds the wire schema carries.
-FRAME_KINDS = ("metrics", "spans", "flightrec", "buildmon", "events")
+FRAME_KINDS = ("metrics", "spans", "events")
 
-DEFAULT_CAPACITY = 4096
+#: An alias, not a second hook: the benchmark ledger's tracer
+#: (``bench/ledger/trace.py``) patches this module attribute by name, so
+#: it must resolve.  Producers call :func:`repro.obs.flightrec.record`.
+publish_event = _flightrec.record
 
 
-class TelemetryBus:
-    """A bounded, non-blocking frame queue with explicit drop counters.
-
-    Args:
-        capacity: maximum queued frames; further publishes are dropped
-            (and counted per kind) until the exporter drains.
-
-    Thread safety: ``publish`` and ``drain`` share one small lock held
-    only for the queue operation itself, so any number of producer
-    threads can publish while one exporter drains.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._queue: deque = deque()
-        self._seq = itertools.count(1)
-        self.published = 0
-        #: Cumulative drops per frame kind (never reset).
-        self.dropped: Dict[str, int] = {}
-        #: High watermark of queue lag seen at drain time, seconds
-        #: (monotonic age of the oldest queued frame).
-        self.max_lag_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    def publish(self, kind: str, payload: Any) -> bool:
-        """Queue one frame; returns ``False`` (and counts) when full.
-
-        Never blocks: a slow or absent exporter costs dropped frames,
-        not producer latency.
-        """
-        frame = {
-            "kind": kind,
-            "seq": next(self._seq),
-            "ts": time.time(),
-            "mono": time.monotonic(),
-            "payload": payload,
-        }
-        with self._lock:
-            if len(self._queue) >= self.capacity:
-                self.dropped[kind] = self.dropped.get(kind, 0) + 1
-                return False
-            self._queue.append(frame)
-            self.published += 1
-        return True
-
-    def drain(self, max_frames: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Remove and return queued frames, oldest first.
-
-        Updates :attr:`max_lag_seconds` with the age of the oldest
-        frame being drained (monotonic — wall-clock steps cannot fake
-        a stall).
-        """
-        now = time.monotonic()
-        out: List[Dict[str, Any]] = []
-        with self._lock:
-            while self._queue and (
-                max_frames is None or len(out) < max_frames
-            ):
-                out.append(self._queue.popleft())
-        if out:
-            lag = max(0.0, now - out[0]["mono"])
-            if lag > self.max_lag_seconds:
-                self.max_lag_seconds = lag
-        return out
-
-    def depth(self) -> int:
-        """Frames currently queued."""
-        with self._lock:
-            return len(self._queue)
-
-    def total_dropped(self) -> int:
-        """Total frames dropped across all kinds."""
-        with self._lock:
-            return sum(self.dropped.values())
-
-    def header(self, rank: Optional[int] = None) -> Dict[str, Any]:
-        """The ``parapll-telemetry/1`` stream header for this process."""
-        return {
-            "kind": "header",
-            "schema": TELEMETRY_SCHEMA,
-            "pid": os.getpid(),
-            "rank": rank,
-            "capacity": self.capacity,
-        }
+def stream_header(rank: Optional[int], capacity: int) -> Dict[str, Any]:
+    """The ``parapll-telemetry/2`` stream header for this process."""
+    return {
+        "kind": "header",
+        "schema": TELEMETRY_SCHEMA,
+        "pid": os.getpid(),
+        "rank": rank,
+        "capacity": capacity,
+    }
 
 
 class MetricsDelta:
@@ -256,46 +166,3 @@ class MetricsDelta:
                     entry["value"] = value
                 out.append(entry)
         return out
-
-
-# ----------------------------------------------------------------------
-# Module-level installation (what the producers see)
-# ----------------------------------------------------------------------
-_active: Optional[TelemetryBus] = None
-
-
-def active() -> Optional[TelemetryBus]:
-    """The currently installed bus, or ``None``."""
-    return _active
-
-
-def install(bus: TelemetryBus) -> TelemetryBus:
-    """Install *bus* as the process-wide telemetry bus."""
-    global _active
-    _active = bus
-    return bus
-
-
-def uninstall() -> None:
-    """Remove the installed bus (no-op when none is installed)."""
-    global _active
-    _active = None
-
-
-def publish_event(name: str, **attrs: Any) -> None:
-    """Publish one producer event to the installed bus (if any).
-
-    This is the instrumented paths' hook; it costs one global load and
-    an ``is None`` test when no bus is installed, gated by the
-    ``telemetry_overhead`` perf workload when one is.
-    """
-    bus = _active
-    if bus is not None:
-        bus.publish(
-            "events",
-            {
-                "name": name,
-                "thread": threading.current_thread().name,
-                "attrs": attrs,
-            },
-        )

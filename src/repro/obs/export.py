@@ -318,8 +318,8 @@ def render_summary(registry: Optional[MetricsRegistry] = None) -> str:
     frames = _labeled_series(snap, "parapll_telemetry_frames_total")
     if frames:
         # Telemetry-plane health: one line per relay source (frames
-        # received, frames dropped at the source's bounded bus, max
-        # queue lag the source ever saw at drain time).
+        # received, events evicted from the source's ring before
+        # shipping, max age of an event at shipping time).
         lines.append("telemetry:")
         for series in sorted(
             frames, key=lambda s: s["labels"].get("source", "")

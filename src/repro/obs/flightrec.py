@@ -9,6 +9,11 @@ commits, sync rounds, slow queries, failures) that instrumented code
 appends to unconditionally, and that gets dumped to JSONL when things
 go wrong.
 
+The ring is also the process's only event buffer for the telemetry
+relay: a :class:`~repro.obs.relay.RelayClient` reads it through a
+:class:`RingCursor`, which ships each event once and counts every event
+evicted before it was read.
+
 Dump triggers:
 
 * worker failures in :func:`repro.parallel.threads.build_parallel_threads`
@@ -48,6 +53,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "ENV_DIR",
     "FlightRecorder",
+    "RingCursor",
     "get_recorder",
     "record",
     "auto_dump",
@@ -80,6 +86,7 @@ class FlightRecorder:
             raise ValueError("capacity must be >= 1")
         self._events: deque = deque(maxlen=capacity)
         self._seq = itertools.count(1)
+        self._cleared_through = 0
 
     @property
     def capacity(self) -> int:
@@ -119,8 +126,17 @@ class FlightRecorder:
         return events
 
     def clear(self) -> None:
-        """Drop all buffered events."""
+        """Drop all buffered events (``seq`` keeps counting)."""
+        self._cleared_through = self.last_seq
         self._events.clear()
+
+    @property
+    def last_seq(self) -> int:
+        """The highest ``seq`` recorded so far (0 before any event)."""
+        return max(
+            (e["seq"] for e in list(self._events)),
+            default=self._cleared_through,
+        )
 
     def __len__(self) -> int:
         return len(self._events)
@@ -139,6 +155,51 @@ class FlightRecorder:
             pid=os.getpid(),
             capacity=self.capacity,
         )
+
+
+class RingCursor:
+    """Reads a recorder's events exactly once, counting those it missed.
+
+    The cursor starts after the newest event recorded so far.  Each
+    :meth:`read` returns the events not read before; events evicted
+    from the ring before a read saw them add to :attr:`dropped`, so
+    events read plus ``dropped`` always equals events recorded.
+
+    ``seq`` is drawn just before the append, so two threads can land in
+    the ring out of ``seq`` order.  The cursor therefore keeps the
+    lowest seq it has not accounted for plus the set of higher seqs
+    already read, rather than a single high-water mark.
+    """
+
+    def __init__(self, recorder: FlightRecorder) -> None:
+        self._recorder = recorder
+        self._next = recorder.last_seq + 1
+        self._read: set = set()
+        #: Events evicted before any read saw them (cumulative).
+        self.dropped = 0
+
+    def read(self) -> List[Dict[str, Any]]:
+        """Events not read before, in ring order."""
+        events = self._recorder.snapshot()
+        if not events:
+            return []
+        oldest = min(e["seq"] for e in events)
+        if oldest > self._next:
+            # Every seq below the oldest retained one is gone for good.
+            seen = {s for s in self._read if s < oldest}
+            self.dropped += oldest - self._next - len(seen)
+            self._read -= seen
+            self._next = oldest
+        fresh = [
+            e
+            for e in events
+            if e["seq"] >= self._next and e["seq"] not in self._read
+        ]
+        self._read.update(e["seq"] for e in fresh)
+        while self._next in self._read:
+            self._read.remove(self._next)
+            self._next += 1
+        return fresh
 
 
 def dump_events(

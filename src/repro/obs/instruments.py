@@ -202,12 +202,14 @@ TELEMETRY_FRAMES = _REG.counter(
 )
 TELEMETRY_DROPPED = _REG.counter(
     "parapll_telemetry_dropped_total",
-    "Frames dropped at the source's bounded bus, per relay source",
+    "Events evicted from the source's ring before shipping, "
+    "per relay source",
     labels=("source",),
 )
 TELEMETRY_LAG = _REG.gauge(
     "parapll_telemetry_queue_lag_seconds",
-    "Max bus queue lag observed at the source, seconds",
+    "Max age of an event at shipping time, per relay source, "
+    "seconds",
     labels=("source",),
 )
 

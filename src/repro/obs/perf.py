@@ -851,32 +851,31 @@ def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
 
     Same direct-measurement reasoning as the other overhead gates: a 5%
     bound cannot be asserted by differencing two whole-build walls
-    under ±10% run noise.  Per committed root the relay adds exactly
-    one :func:`repro.obs.bus.publish_event` call on the worker thread
-    (a global load, a dict build and a deque append — the delta
-    collection, span scan and socket write all ride the flush thread),
-    so the hooks' added work is timed directly — the build's observed
-    event count replayed against an installed bus, min-of-3 — and
-    divided by the plain build wall.  ``overhead_within_gate`` (exact
-    counter) fails the comparison outright if that fraction exceeds
-    0.05.
+    under ±10% run noise.  Attaching the relay adds no call on the
+    worker thread: the events it ships are the flight recorder's
+    always-on records, and the delta collection, span scan, ring read
+    and socket write all ride the relay's flush thread.  So the
+    per-root commit record, :func:`repro.obs.flightrec.record`
+    ``("label_commit", ...)`` (a dict build and a ring append), is
+    timed directly, the build's root count times, min-of-3, and divided
+    by the plain build wall.  ``overhead_within_gate`` (exact counter)
+    fails the comparison outright if that fraction exceeds 0.05.
 
     The end-to-end leg builds once with the full plane live — in-process
     :class:`~repro.obs.relay.Collector` on a *private* registry (merging
     into the registry the client diffs would re-ship every merged
-    increment forever), relay client on the process registry, bus sized
-    to the build so backpressure, not capacity, is under test — and
+    increment forever), relay client on the process registry — and
     pins the merge exact: the collector's merged
     ``parapll_build_roots_total`` must equal the source registry's own
     cumulative total (shipped deltas always sum to the source's truth —
-    see :class:`repro.obs.bus.MetricsDelta`), with zero drops, zero
-    malformed frames and zero merge errors.  When no bus is installed the producers must dispatch to
-    nothing: ``bus_active_when_off`` pins the off-path to an exact
-    zero.
+    see :class:`repro.obs.bus.MetricsDelta`), every committed root must
+    arrive as one ``label_commit`` event (``relayed_commits``), and
+    there must be zero drops, zero malformed frames and zero merge
+    errors.
     """
     import gc
 
-    from repro.obs import bus as _bus
+    from repro.obs import flightrec as _flightrec
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.relay import Collector, RelayClient
     from repro.parallel.threads import build_parallel_threads
@@ -893,7 +892,6 @@ def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        bus_active = 1.0 if _bus.active() is not None else 0.0
         plain = min(plain_wall() for _ in range(3))
 
         # End-to-end: one build with the relay plane fully live.
@@ -905,7 +903,6 @@ def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
                 collector.host,
                 collector.port,
                 rank=0,
-                bus=_bus.TelemetryBus(capacity=4 * n + 1024),
                 flush_interval=0.05,
             )
             try:
@@ -933,27 +930,19 @@ def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
                     merged_roots = sum(
                         float(s["value"]) for s in metric["series"]
                     )
-            event_frames = sum(
-                src["by_kind"].get("events", 0)
-                for src in stats["sources"].values()
+            relayed_commits = sum(
+                1 for e in collector.events() if e["kind"] == "label_commit"
             )
         finally:
             collector.close()
 
-        # The hooks' added work: the exact per-root producer cost, the
-        # observed number of times, against an installed bus.
+        # The per-root commit record, the build's root count times.
         def hook_wall() -> float:
-            bus = _bus.TelemetryBus(capacity=n + 16)
-            _bus.install(bus)
-            try:
-                t0 = time.perf_counter()
-                for root in range(n):
-                    _bus.publish_event(
-                        "root_commit", worker=0, root=root, labels=8
-                    )
-                return time.perf_counter() - t0
-            finally:
-                _bus.uninstall()
+            record = _flightrec.record
+            t0 = time.perf_counter()
+            for root in range(n):
+                record("label_commit", worker=0, root=root, labels=8)
+            return time.perf_counter() - t0
 
         hook = min(hook_wall() for _ in range(3))
         fraction = hook / plain
@@ -973,21 +962,22 @@ def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
         ),
         # Merge exactness: the collector's merged counter equals the
         # source registry's cumulative total, and every root committed
-        # with the bus installed arrived as one event frame.
+        # while the relay was attached arrived as one label_commit.
         "merge_exact": _metric(
             1.0 if merged_roots == expected_roots else 0.0,
             "counter",
             "bool",
         ),
-        "event_frames": _metric(float(event_frames), "counter", "frames"),
-        "relay_drops": _metric(float(stats["dropped"]), "counter", "frames"),
+        "relayed_commits": _metric(
+            float(relayed_commits), "counter", "events"
+        ),
+        "relay_drops": _metric(float(stats["dropped"]), "counter", "events"),
         "malformed_frames": _metric(
             float(stats["malformed"]), "counter", "frames"
         ),
         "merge_errors": _metric(
             float(stats["merge_errors"]), "counter", "errors"
         ),
-        "bus_active_when_off": _metric(bus_active, "counter", "bool"),
     }
 
 

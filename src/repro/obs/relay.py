@@ -2,11 +2,11 @@
 
 :mod:`repro.obs.bus` defines the frames; this module moves them.  A
 worker process creates a :class:`RelayClient` pointing at the parent's
-:class:`Collector` and from then on its metrics, spans, flight-recorder
-events, build-monitor snapshots and explicit bus events stream over a
-TCP connection as ``parapll-telemetry/1`` JSONL — one JSON object per
-line, header first.  The collector merges everything into the parent's
-registry and trace state with defined semantics:
+:class:`Collector` and from then on its metrics, spans and
+flight-recorder events stream over a TCP connection as
+``parapll-telemetry/2`` JSONL — one JSON object per line, header
+first.  The collector merges everything into the parent's registry and
+trace state with defined semantics:
 
 * **counters sum** — children ship deltas (:class:`~repro.obs.bus
   .MetricsDelta`), the collector ``inc()``\\ s the same-named series, so
@@ -18,25 +18,25 @@ registry and trace state with defined semantics:
 * **histograms bucket-merge** — per-bucket counts, sum and count add
   via :func:`~repro.obs.metrics.merge_histogram_snapshot`, refusing
   mismatched bucket layouts;
-* **spans and flightrec events stitch** — records gain ``pid``/``rank``
-  attrs and a ``<source>:`` thread prefix so every process gets its own
-  lanes in one Chrome trace (:meth:`Collector.write_chrome_trace`).
+* **spans and events stitch** — records gain ``pid``/``rank`` attrs
+  and a ``<source>:`` thread prefix so every process gets its own lanes
+  in one Chrome trace (:meth:`Collector.write_chrome_trace`).
 
 Failure modes (exercised in ``tests/test_telemetry.py``):
 
-* **slow collector** — the child's bus is bounded; producers never
-  block, excess frames are dropped and counted, and every shipped frame
-  carries the cumulative per-kind drop counters so the collector can
-  tell "quiet" from "overloaded";
-* **dead collector** — a send failure marks the client dead, stops the
-  flush thread and uninstalls the bus; the instrumented process keeps
-  running, minus telemetry;
+* **slow collector** — the flight recorder's ring is the only event
+  buffer; producers never block, and an event evicted before the relay
+  shipped it is counted.  Every frame carries the cumulative count, so
+  the collector can tell "quiet" from "overloaded";
+* **dead collector** — a send failure marks the client dead and stops
+  the flush thread; the instrumented process keeps running, minus
+  telemetry;
 * **dead child / partial frame** — a connection that closes mid-line
   leaves a truncated JSON object; the collector counts it as malformed
   and keeps every complete frame received before it.
 
 Clock discipline: frames carry wall ``ts`` (event timestamps only) and
-monotonic ``mono``.  Queue lag, flush ages and stitched span times all
+monotonic ``mono``.  Event lag, flush ages and stitched span times all
 come from the monotonic clock — on Linux ``time.monotonic`` is
 ``CLOCK_MONOTONIC``, shared across local processes, which is what makes
 cross-process span stitching line up.
@@ -52,7 +52,6 @@ from __future__ import annotations
 import atexit
 import itertools
 import json
-import os
 import socket
 import threading
 import time
@@ -60,10 +59,8 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check import hooks as _hooks
-from repro.obs import buildmon as _buildmon
-from repro.obs import bus as _bus
 from repro.obs import flightrec as _flightrec
-from repro.obs.bus import TELEMETRY_SCHEMA, MetricsDelta, TelemetryBus
+from repro.obs.bus import TELEMETRY_SCHEMA, MetricsDelta, stream_header
 from repro.obs.metrics import (
     MetricsRegistry,
     ObsError,
@@ -74,12 +71,18 @@ from repro.obs.trace import TraceRecord, get_tracer
 
 __all__ = [
     "DEFAULT_FLUSH_INTERVAL",
+    "RING_CAPACITY",
     "RelayClient",
     "Collector",
     "render_fleet",
 ]
 
 DEFAULT_FLUSH_INTERVAL = 0.25
+
+#: Event-ring size of a relayed process.  A client grows the flight
+#: recorder to this on attach; processes without a relay keep the
+#: recorder's smaller default.
+RING_CAPACITY = 4096
 
 #: Stitched trace records and event lists are bounded so a chatty fleet
 #: cannot grow the parent without limit.
@@ -100,34 +103,29 @@ LAG_METRIC = "parapll_telemetry_queue_lag_seconds"
 class RelayClient:
     """Ships this process's telemetry to a :class:`Collector`.
 
-    On construction the client connects, writes the stream header and
-    starts a daemon flush thread; from then on every
-    ``flush_interval`` seconds (and once more at exit, via ``atexit``)
-    it gathers
+    On construction the client connects, grows the process's flight
+    recorder to :data:`RING_CAPACITY`, writes the stream header and
+    starts a daemon flush thread; from then on every ``flush_interval``
+    seconds (and once more at exit, via ``atexit``) it sends one JSONL
+    batch of
 
     * metric deltas from *registry* (counters/histograms as increments,
       gauges as current values),
     * trace records not yet shipped (tracked by ``span_id`` against the
-      ring content, so re-flushes never duplicate),
-    * flight-recorder events with ``seq`` beyond the last shipped,
-    * the active build monitor's progress snapshot, and
-    * everything queued on the bus by :func:`repro.obs.bus.publish_event`
+      ring content, so re-flushes never duplicate), and
+    * flight-recorder events recorded since the client attached, read
+      by :class:`~repro.obs.flightrec.RingCursor`.
 
-    and sends them as one JSONL batch.  A send failure marks the client
-    dead and uninstalls the bus — telemetry degrades, the workload
-    does not.
+    A send failure marks the client dead — telemetry degrades, the
+    workload does not.
 
     Args:
         host / port: the collector's listen address.
         rank: optional rank id stamped into the stream header (and onto
             stitched spans at the collector).
         registry: registry to collect deltas from (default process-wide).
-        bus: the event bus to drain (default: a fresh one, installed
-            process-wide unless *install_bus* is false).
         flush_interval: seconds between periodic flushes.
         connect_timeout: seconds to wait for the collector to accept.
-        install_bus: install *bus* via :func:`repro.obs.bus.install` so
-            module-level :func:`~repro.obs.bus.publish_event` feeds it.
     """
 
     def __init__(
@@ -137,37 +135,33 @@ class RelayClient:
         *,
         rank: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        bus: Optional[TelemetryBus] = None,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         connect_timeout: float = 5.0,
-        install_bus: bool = True,
     ) -> None:
         if flush_interval <= 0:
             raise ValueError("flush_interval must be positive")
         self.rank = rank
         self.flush_interval = flush_interval
-        self.bus = bus if bus is not None else TelemetryBus()
         self._delta = MetricsDelta(registry)
         self._shipped_spans: set = set()
-        self._last_flight_seq = 0
-        self._final_shipped: Optional[_buildmon.BuildMonitor] = None
+        self._frame_seq = itertools.count(1)
         self.frames_sent = 0
         self.flushes = 0
         self.send_failures = 0
         self.dead = False
         self._closed = False
-        self._installed = False
         self._lock = _hooks.make_lock("obs.relay.client")
 
         self._sock = socket.create_connection(
             (host, port), timeout=connect_timeout
         )
         self._sock.settimeout(connect_timeout)
-        self._send_line(json.dumps(self.bus.header(rank=rank)))
+        recorder = _flightrec.get_recorder()
+        if recorder.capacity < RING_CAPACITY:
+            recorder.set_capacity(RING_CAPACITY)
+        self._cursor = _flightrec.RingCursor(recorder)
+        self._send_line(json.dumps(stream_header(rank, recorder.capacity)))
 
-        if install_bus:
-            _bus.install(self.bus)
-            self._installed = True
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="telemetry-relay", daemon=True
@@ -187,42 +181,37 @@ class RelayClient:
                 return
 
     def _gather_locked(self) -> List[Dict[str, Any]]:
-        """Queue fresh telemetry on the bus, then drain everything."""
+        """One batch: metric deltas, fresh spans, fresh ring events."""
+        batch: List[Tuple[str, List[Dict[str, Any]]]] = []
         deltas = self._delta.collect()
         if deltas:
-            self.bus.publish("metrics", deltas)
+            batch.append(("metrics", deltas))
         records = get_tracer().records()
         fresh = [r for r in records if r.span_id not in self._shipped_spans]
         # Reset to the ring's current content: evicted ids fall out, so
         # the set stays bounded by the tracer capacity.
         self._shipped_spans = {r.span_id for r in records}
         if fresh:
-            self.bus.publish("spans", [r.to_dict() for r in fresh])
-        events = [
-            e
-            for e in _flightrec.get_recorder().snapshot()
-            if e["seq"] > self._last_flight_seq
-        ]
+            batch.append(("spans", [r.to_dict() for r in fresh]))
+        events = self._cursor.read()
+        mono = time.monotonic()
+        lag = 0.0
         if events:
-            self._last_flight_seq = events[-1]["seq"]
-            self.bus.publish("flightrec", events)
-        monitor = _buildmon.active()
-        if monitor is None:
-            # A fast build can start and finish entirely between two
-            # periodic flushes; ship the finished monitor's final
-            # snapshot once so the collector still sees it.
-            finished = _buildmon.last_finished()
-            if finished is not None and finished is not self._final_shipped:
-                monitor = self._final_shipped = finished
-        if monitor is not None:
-            self.bus.publish("buildmon", monitor.snapshot())
-        frames = self.bus.drain()
-        dropped = dict(self.bus.dropped)
-        lag = round(self.bus.max_lag_seconds, 6)
-        for frame in frames:
-            frame["dropped"] = dropped
-            frame["lag"] = lag
-        return frames
+            lag = max(0.0, mono - min(e["mono"] for e in events))
+            batch.append(("events", events))
+        ts = time.time()
+        return [
+            {
+                "kind": kind,
+                "seq": next(self._frame_seq),
+                "ts": ts,
+                "mono": mono,
+                "dropped": self._cursor.dropped,
+                "lag": round(lag, 6),
+                "payload": payload,
+            }
+            for kind, payload in batch
+        ]
 
     def flush(self) -> int:
         """Gather and ship one batch; returns frames sent (0 if dead)."""
@@ -239,9 +228,6 @@ class RelayClient:
             except OSError:
                 self.send_failures += 1
                 self.dead = True
-                if self._installed:
-                    _bus.uninstall()
-                    self._installed = False
                 return 0
             self.frames_sent += len(frames)
             self.flushes += 1
@@ -256,9 +242,6 @@ class RelayClient:
         self._thread.join(timeout=5.0)
         _hooks.join(self._thread.name)
         self.flush()
-        if self._installed:
-            _bus.uninstall()
-            self._installed = False
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - best effort
@@ -304,7 +287,7 @@ class Collector:
             the collector a private registry when a :class:`RelayClient`
             runs in the same process.
         max_records: cap on stitched trace records (oldest evicted).
-        max_events: cap on retained flightrec/producer events.
+        max_events: cap on retained events.
     """
 
     def __init__(
@@ -327,8 +310,8 @@ class Collector:
         self._event_ids = itertools.count(1)
         #: source id -> health/stats dict (see :meth:`stats`).
         self.sources: Dict[str, Dict[str, Any]] = {}
-        #: source id -> most recent buildmon snapshot.
-        self.buildmon: Dict[str, Dict[str, Any]] = {}
+        #: source id -> attrs of its latest ``build_progress`` event.
+        self.progress: Dict[str, Dict[str, Any]] = {}
         self.gauge_sources: Dict[Tuple[str, Tuple[str, ...]], str] = {}
         self._records: deque = deque(maxlen=max_records)
         self._events: deque = deque(maxlen=max_events)
@@ -341,12 +324,14 @@ class Collector:
         )
         self._dropped_ctr = self.registry.counter(
             DROPPED_METRIC,
-            "Frames dropped at the source's bounded bus, per relay source",
+            "Events evicted from the source's ring before shipping, "
+            "per relay source",
             labels=("source",),
         )
         self._lag_gauge = self.registry.gauge(
             LAG_METRIC,
-            "Max bus queue lag observed at the source, seconds",
+            "Max age of an event at shipping time, per relay source, "
+            "seconds",
             labels=("source",),
         )
 
@@ -421,7 +406,7 @@ class Collector:
                 "rank": rank,
                 "frames": 0,
                 "by_kind": {},
-                "dropped": {},
+                "dropped": 0,
                 "max_lag_seconds": 0.0,
                 "connected": True,
                 "last_mono": time.monotonic(),
@@ -437,19 +422,18 @@ class Collector:
             stats["frames"] += 1
             stats["by_kind"][kind] = stats["by_kind"].get(kind, 0) + 1
             stats["last_mono"] = time.monotonic()
-            prev_dropped = sum(stats["dropped"].values())
             dropped = frame.get("dropped")
-            if isinstance(dropped, dict):
+            if isinstance(dropped, int) and dropped > stats["dropped"]:
+                self._dropped_ctr.labels(source=source).inc(
+                    dropped - stats["dropped"]
+                )
                 stats["dropped"] = dropped
-            drop_delta = max(0, sum(stats["dropped"].values()) - prev_dropped)
             lag = frame.get("lag")
             if isinstance(lag, (int, float)):
                 stats["max_lag_seconds"] = max(
                     stats["max_lag_seconds"], float(lag)
                 )
             self._frames_ctr.labels(source=source).inc()
-            if drop_delta:
-                self._dropped_ctr.labels(source=source).inc(drop_delta)
             self._lag_gauge.labels(source=source).set(
                 stats["max_lag_seconds"]
             )
@@ -457,14 +441,8 @@ class Collector:
                 self._merge_metrics(source, payload or [])
             elif kind == "spans":
                 self._stitch_spans(stats, source, payload or [])
-            elif kind == "flightrec":
-                self._stitch_flightrec(stats, source, payload or [])
-            elif kind == "buildmon":
-                if isinstance(payload, dict):
-                    self.buildmon[source] = payload
             elif kind == "events":
-                if isinstance(payload, dict):
-                    self._stitch_event(stats, source, frame, payload)
+                self._stitch_events(stats, source, payload or [])
             else:
                 self.malformed += 1
 
@@ -534,7 +512,7 @@ class Collector:
             rec.thread = f"{source}:{rec.thread}"
             self._records.append(rec)
 
-    def _stitch_flightrec(
+    def _stitch_events(
         self,
         stats: Dict[str, Any],
         source: str,
@@ -548,9 +526,13 @@ class Collector:
             tagged["source"] = source
             self._events.append(tagged)
             attrs = dict(event.get("attrs") or {})
+            if event["kind"] == "build_progress":
+                self.progress[source] = dict(attrs)
             attrs["pid"] = stats["pid"]
             if stats["rank"] is not None:
                 attrs["rank"] = stats["rank"]
+            if "worker" in attrs:
+                attrs["worker"] = f"{source}:{attrs['worker']}"
             self._records.append(
                 TraceRecord(
                     name=str(event["kind"]),
@@ -564,37 +546,6 @@ class Collector:
                 )
             )
 
-    def _stitch_event(
-        self,
-        stats: Dict[str, Any],
-        source: str,
-        frame: Dict[str, Any],
-        payload: Dict[str, Any],
-    ) -> None:
-        tagged = dict(payload)
-        tagged["source"] = source
-        tagged["ts"] = frame.get("ts")
-        tagged["mono"] = frame.get("mono")
-        self._events.append(tagged)
-        attrs = dict(payload.get("attrs") or {})
-        attrs["pid"] = stats["pid"]
-        if stats["rank"] is not None:
-            attrs["rank"] = stats["rank"]
-        if "worker" in attrs:
-            attrs["worker"] = f"{source}:{attrs['worker']}"
-        self._records.append(
-            TraceRecord(
-                name=str(payload.get("name", "event")),
-                kind="event",
-                ts=float(frame.get("mono", 0.0)),
-                dur=None,
-                span_id=next(self._event_ids),
-                parent_id=None,
-                thread=f"{source}:{payload.get('thread', 'main')}",
-                attrs=attrs,
-            )
-        )
-
     # ------------------------------------------------------------------
     def stitched_records(self) -> List[TraceRecord]:
         """Merged spans + events from every source, arrival order."""
@@ -602,7 +553,7 @@ class Collector:
             return list(self._records)
 
     def events(self, last: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Retained flightrec/producer events, oldest first."""
+        """Retained events from every source, arrival order."""
         with self._lock:
             out = list(self._events)
         if last is not None and last >= 0:
@@ -624,7 +575,7 @@ class Collector:
                     "rank": s["rank"],
                     "frames": s["frames"],
                     "by_kind": dict(s["by_kind"]),
-                    "dropped": sum(s["dropped"].values()),
+                    "dropped": s["dropped"],
                     "max_lag_seconds": s["max_lag_seconds"],
                     "connected": s["connected"],
                 }
@@ -683,9 +634,9 @@ def _fmt_eta(seconds: Optional[float]) -> str:
 def render_fleet(collector: Collector) -> str:
     """One ``parapll dash`` text frame of the fleet's state.
 
-    Per source: connection state, frames/drops/queue lag from the
+    Per source: connection state, frames/drops/event lag from the
     relay, and — when the source runs a monitored build — progress,
-    roots/sec and prune ratio from its latest buildmon snapshot.  SLO
+    roots/sec and prune ratio from its latest ``build_progress`` event.  SLO
     burn rates come from the merged registry (gauge
     ``parapll_slo_burn_rate``), i.e. serve-side sources report their
     burn and the dash shows the last write per target.
@@ -707,7 +658,7 @@ def render_fleet(collector: Collector) -> str:
         )
         for name, src in stats["sources"].items():
             state = "live" if src["connected"] else "gone"
-            mon = collector.buildmon.get(name)
+            mon = collector.progress.get(name)
             if mon:
                 total = mon.get("total_roots")
                 done = mon.get("roots_done", 0)
@@ -737,5 +688,8 @@ def render_fleet(collector: Collector) -> str:
             lines.append("slo burn   " + " | ".join(parts))
     drops = stats["dropped"]
     if drops:
-        lines.append(f"WARNING    {drops} frame(s) dropped at source buses")
+        lines.append(
+            f"WARNING    {drops} event(s) dropped: evicted from source "
+            "rings before shipping"
+        )
     return "\n".join(lines)

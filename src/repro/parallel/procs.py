@@ -49,8 +49,8 @@ Telemetry crosses the fork boundary via the relay plane (DESIGN.md
 :class:`~repro.obs.relay.RelayClient` with its worker id as rank, so
 child-side search metrics, spans and flight-recorder events stitch
 into the parent's registry.  The parent itself reports the commit
-plane (buildmon progress, commit counters, bus events) directly, one
-event per root.
+plane (buildmon progress, commit counters, flight-recorder
+``label_commit`` events) directly, one event per root.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from repro.errors import TaskError
 from repro.graph.csr import CSRGraph
 from repro.graph.order import by_degree
 from repro.obs import buildmon as _buildmon
-from repro.obs import bus as _bus
 from repro.obs import config as _obs_config
 from repro.obs import flightrec as _flightrec
 from repro.obs import instruments as _inst
@@ -408,9 +407,6 @@ def build_parallel_procs(
         for root, (labels, packed) in zip(block, per_root):
             _flightrec.record(
                 "label_commit", worker=worker_id, root=root, labels=labels
-            )
-            _bus.publish_event(
-                "root_commit", worker=worker_id, root=root, labels=labels
             )
             if monitor is not None:
                 monitor.root_done(

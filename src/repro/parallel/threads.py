@@ -29,7 +29,6 @@ from repro.errors import TaskError
 from repro.graph.csr import CSRGraph
 from repro.graph.order import by_degree
 from repro.obs import buildmon as _buildmon
-from repro.obs import bus as _bus
 from repro.obs import config as _obs_config
 from repro.obs import flightrec as _flightrec
 from repro.obs import instruments as _inst
@@ -142,15 +141,6 @@ def build_parallel_threads(
                     )
                 _flightrec.record(
                     "label_commit",
-                    worker=worker_id,
-                    root=root,
-                    labels=len(delta),
-                )
-                # Cross-process telemetry: one bus event per committed
-                # root (a no-op global load unless a relay installed a
-                # bus; the telemetry_overhead workload gates the cost).
-                _bus.publish_event(
-                    "root_commit",
                     worker=worker_id,
                     root=root,
                     labels=len(delta),

@@ -54,7 +54,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check import hooks as _check_hooks
 from repro.errors import ReproError
-from repro.obs import bus as _bus
 from repro.obs import flightrec as _flightrec
 from repro.obs import qlog as _qlog
 from repro.obs import slo as _slo
@@ -142,16 +141,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 elapsed,
                 bool(response.get("ok")),
                 include_latency=(op != "batch"),
-            )
-            # Cross-process telemetry: one bus event per request so a
-            # fleet dashboard sees serve traffic live (no-op global
-            # load unless a relay installed a bus).
-            _bus.publish_event(
-                "request",
-                op=op,
-                seconds=round(elapsed, 6),
-                ok=bool(response.get("ok")),
-                shed=shed,
             )
             # Shed fast-fails are excluded from the SLO windows: if they
             # counted as errors, shedding would keep its own burn rate

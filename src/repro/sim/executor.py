@@ -42,7 +42,6 @@ from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.graph.order import by_degree
 from repro.obs import buildmon as _buildmon
-from repro.obs import bus as _bus
 from repro.obs import config as _obs_config
 from repro.obs import trace as _trace
 from repro.obs.instruments import CLUSTER_REDUNDANT_LABELS
@@ -281,15 +280,6 @@ class IntraNodeSimulator:
                         lock_wait=lock_wait,
                         clock="sim",
                     )
-                # Cross-process telemetry mirror of the real builders'
-                # root_commit event, stamped with simulated seconds.
-                _bus.publish_event(
-                    "sim_root_commit",
-                    worker=w,
-                    root=root,
-                    labels=len(triples),
-                    sim_time=t,
-                )
                 seq += 1
                 heapq.heappush(events, (t, self._EV_FREE, seq, (w,)))
 

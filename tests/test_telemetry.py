@@ -1,10 +1,11 @@
 """Tests for the cross-process telemetry plane (repro.obs.bus/relay).
 
-Covers the bus (bounded, non-blocking, explicit drops), the metrics
-delta encoder, the histogram-merge property (merging N per-process
-snapshots equals observing the concatenated stream in one registry),
-the in-process and two-process relay merge semantics, the failure
-modes (dead collector, partial frame, frames before header) and the
+Covers the event ring and its relay cursor (bounded, non-blocking,
+every eviction before shipping counted), the metrics delta encoder,
+the histogram-merge property (merging N per-process snapshots equals
+observing the concatenated stream in one registry), the in-process and
+two-process relay merge semantics, counted loss, the failure modes
+(dead collector, partial frame, frames before header) and the
 ``parapll dash`` / ``parapll obs`` surfaces.
 """
 
@@ -18,14 +19,16 @@ import time
 import pytest
 
 from repro import obs
+from repro.obs import buildmon
 from repro.obs import bus as bus_mod
+from repro.obs import flightrec
 from repro.obs.bus import (
-    DEFAULT_CAPACITY,
     FRAME_KINDS,
     TELEMETRY_SCHEMA,
     MetricsDelta,
-    TelemetryBus,
+    stream_header,
 )
+from repro.obs.flightrec import FlightRecorder, RingCursor
 from repro.obs.metrics import (
     MetricsRegistry,
     ObsError,
@@ -33,16 +36,24 @@ from repro.obs.metrics import (
     histogram_quantile,
     merge_histogram_snapshot,
 )
-from repro.obs.relay import Collector, RelayClient, render_fleet
+from repro.obs.relay import (
+    RING_CAPACITY,
+    Collector,
+    RelayClient,
+    render_fleet,
+)
 
 BOUNDS = (0.1, 1.0, 10.0)
 
 
 @pytest.fixture(autouse=True)
-def _clean_bus():
-    bus_mod.uninstall()
+def _restore_ring():
+    # An attached relay grows the process ring; later tests get it back
+    # at its previous size.
+    recorder = flightrec.get_recorder()
+    capacity = recorder.capacity
     yield
-    bus_mod.uninstall()
+    recorder.set_capacity(capacity)
 
 
 def wait_until(predicate, timeout=10.0, interval=0.01):
@@ -76,68 +87,168 @@ def merged_value(registry, name, labels=None):
     return None
 
 
-class TestTelemetryBus:
-    def test_publish_drain_roundtrip(self):
-        bus = TelemetryBus()
-        assert bus.publish("events", {"name": "a"})
-        assert bus.publish("metrics", [{"name": "x"}])
-        frames = bus.drain()
-        assert [f["kind"] for f in frames] == ["events", "metrics"]
-        assert [f["seq"] for f in frames] == [1, 2]
-        for frame in frames:
-            assert frame["ts"] > 0 and frame["mono"] > 0
-        assert bus.drain() == []
-        assert bus.published == 2
+class _FakeRing:
+    """A recorder stand-in whose ring order the test controls."""
 
-    def test_full_bus_drops_and_counts_per_kind(self):
-        bus = TelemetryBus(capacity=2)
-        assert bus.publish("events", 1)
-        assert bus.publish("events", 2)
-        assert not bus.publish("events", 3)
-        assert not bus.publish("spans", [])
-        assert bus.dropped == {"events": 1, "spans": 1}
-        assert bus.total_dropped() == 2
-        # Draining frees capacity; drop counters are cumulative.
-        assert len(bus.drain()) == 2
-        assert bus.publish("events", 4)
-        assert bus.dropped == {"events": 1, "spans": 1}
+    def __init__(self, seqs=()):
+        self.events = [{"seq": q, "mono": 0.0} for q in seqs]
+
+    @property
+    def last_seq(self):
+        return max((e["seq"] for e in self.events), default=0)
+
+    def snapshot(self):
+        return list(self.events)
+
+
+class TestTelemetryBus:
+    """The event channel: one bounded ring, read once by a seq cursor."""
+
+    def test_publish_drain_roundtrip(self):
+        rec = FlightRecorder(capacity=8)
+        cursor = RingCursor(rec)
+        rec.record("a", x=1)
+        rec.record("b")
+        events = cursor.read()
+        assert [e["kind"] for e in events] == ["a", "b"]
+        assert [e["seq"] for e in events] == [1, 2]
+        for event in events:
+            assert event["ts"] > 0 and event["mono"] > 0
+        assert cursor.read() == []
+        assert cursor.dropped == 0
+        # The ring itself is untouched: a failure dump still sees both.
+        assert len(rec) == 2
+
+    def test_full_ring_evictions_counted(self):
+        rec = FlightRecorder(capacity=2)
+        cursor = RingCursor(rec)
+        for i in range(5):
+            rec.record("e", i=i)
+        events = cursor.read()
+        assert [e["attrs"]["i"] for e in events] == [3, 4]
+        assert cursor.dropped == 3
+        # Reading frees nothing and resets nothing: drops are cumulative.
+        rec.record("e", i=5)
+        assert [e["attrs"]["i"] for e in cursor.read()] == [5]
+        assert cursor.dropped == 3
+
+    def test_bounded_and_never_blocks_without_reader(self):
+        rec = FlightRecorder(capacity=16)
+        cursor = RingCursor(rec)
+        t0 = time.perf_counter()
+        for i in range(10_000):
+            rec.record("e", i=i)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(rec) == 16
+        assert len(cursor.read()) == 16
+        assert cursor.dropped == 10_000 - 16
+
+    def test_cursor_starts_after_existing_events(self):
+        rec = FlightRecorder(capacity=4)
+        rec.record("before")
+        rec.record("before")
+        rec.clear()  # seq keeps counting across a clear
+        rec.record("before")
+        cursor = RingCursor(rec)
+        rec.record("after")
+        (event,) = cursor.read()
+        assert event["kind"] == "after" and event["seq"] == 4
+        assert cursor.dropped == 0
+
+    def test_cursor_handles_out_of_order_appends(self):
+        # Two threads can append seqs out of order: seq 2 lands after 3.
+        ring = _FakeRing()
+        cursor = RingCursor(ring)
+        ring.events = [{"seq": 1, "mono": 0.0}, {"seq": 3, "mono": 0.0}]
+        assert [e["seq"] for e in cursor.read()] == [1, 3]
+        ring.events.append({"seq": 2, "mono": 0.0})
+        assert [e["seq"] for e in cursor.read()] == [2]
+        assert cursor.read() == []
+        # A hole evicted before any read saw it is a drop, counted once.
+        ring.events = [{"seq": 5, "mono": 0.0}, {"seq": 6, "mono": 0.0}]
+        assert [e["seq"] for e in cursor.read()] == [5, 6]
+        assert cursor.dropped == 1
+        ring.events = [{"seq": 6, "mono": 0.0}, {"seq": 4, "mono": 0.0}]
+        assert cursor.read() == []
+        assert cursor.dropped == 1
 
     def test_lag_high_watermark_uses_monotonic(self, monkeypatch):
-        bus = TelemetryBus()
-        bus.publish("events", 1)
-        # Step the wall clock a year backwards: lag must not explode
-        # (or go negative), because it is derived from mono only.
-        monkeypatch.setattr(time, "time", lambda: 1.0)
-        time.sleep(0.02)
-        bus.drain()
-        assert 0.0 <= bus.max_lag_seconds < 5.0
+        with Collector(registry=MetricsRegistry()) as collector:
+            client = RelayClient(
+                collector.host,
+                collector.port,
+                registry=MetricsRegistry(),
+                flush_interval=60.0,  # flush manually below
+            )
+            flightrec.record("lagged")
+            # Step the wall clock a year backwards: lag must not explode
+            # (or go negative), because it is derived from mono only.
+            monkeypatch.setattr(time, "time", lambda: 1.0)
+            time.sleep(0.02)
+            client.flush()
+            monkeypatch.undo()
+            client.close()
+            wait_disconnected(collector)
+            (source,) = collector.stats()["sources"].values()
+            assert 0.02 <= source["max_lag_seconds"] < 5.0
 
     def test_header_identifies_process(self):
-        bus = TelemetryBus(capacity=7)
-        header = bus.header(rank=3)
+        header = stream_header(rank=3, capacity=7)
         assert header["kind"] == "header"
-        assert header["schema"] == TELEMETRY_SCHEMA
+        assert header["schema"] == TELEMETRY_SCHEMA == "parapll-telemetry/2"
         assert header["pid"] == os.getpid()
         assert header["rank"] == 3 and header["capacity"] == 7
+        assert FRAME_KINDS == ("metrics", "spans", "events")
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            TelemetryBus(capacity=0)
+            FlightRecorder(capacity=0)
+        with pytest.raises(ValueError):
+            FlightRecorder().set_capacity(0)
+
+    def test_relay_grows_the_ring(self):
+        recorder = flightrec.get_recorder()
+        recorder.set_capacity(flightrec.DEFAULT_CAPACITY)
+        with Collector(registry=MetricsRegistry()) as collector:
+            client = RelayClient(
+                collector.host, collector.port, registry=MetricsRegistry()
+            )
+            client.close()
+        assert recorder.capacity == RING_CAPACITY > flightrec.DEFAULT_CAPACITY
 
     def test_publish_event_hook(self):
-        bus_mod.publish_event("noop", x=1)  # no bus installed: no-op
-        bus = bus_mod.install(TelemetryBus())
-        bus_mod.publish_event("root_commit", worker=2, root=5)
-        frames = bus.drain()
-        assert len(frames) == 1
-        payload = frames[0]["payload"]
-        assert payload["name"] == "root_commit"
-        assert payload["attrs"] == {"worker": 2, "root": 5}
-        assert payload["thread"]
-        bus_mod.uninstall()
-        bus_mod.publish_event("after", x=1)
-        assert bus.drain() == []
+        # Kept only as a name for external tracers: it is the recorder.
+        assert bus_mod.publish_event is flightrec.record
+        cursor = RingCursor(flightrec.get_recorder())
+        bus_mod.publish_event("label_commit", worker=2, root=5)
+        (event,) = cursor.read()
+        assert event["kind"] == "label_commit"
+        assert event["attrs"] == {"worker": 2, "root": 5}
+        assert event["thread"]
 
+
+class TestCountedLoss:
+    """Every event recorded after attach is delivered or counted."""
+
+    def test_overflow_between_flushes_is_counted(self):
+        recorder = flightrec.get_recorder()
+        with Collector(registry=MetricsRegistry()) as collector:
+            client = RelayClient(
+                collector.host,
+                collector.port,
+                registry=MetricsRegistry(),
+                flush_interval=60.0,  # no periodic flush in between
+            )
+            first = recorder.last_seq + 1
+            for i in range(recorder.capacity + 1000):
+                flightrec.record("loss_probe", i=i)
+            recorded = recorder.last_seq - first + 1
+            client.close()
+            wait_disconnected(collector)
+            delivered = len(collector.events())
+            dropped = collector.stats()["dropped"]
+        assert dropped > 0
+        assert delivered + dropped == recorded
 
 class TestMetricsDelta:
     def test_counter_deltas_and_reset_detection(self):
@@ -317,8 +428,6 @@ class TestRelayInProcess:
             collector.port,
             rank=rank,
             registry=registry,
-            bus=TelemetryBus(),
-            install_bus=False,
             flush_interval=0.05,
         )
 
@@ -394,13 +503,11 @@ class TestRelayInProcess:
                     collector.port,
                     rank=5,
                     registry=reg,
-                    bus=TelemetryBus(),
-                    install_bus=True,
                     flush_interval=0.05,
                 )
                 with obs.span("root_search", worker=3, root=17):
                     pass
-                bus_mod.publish_event("root_commit", worker=3, root=17)
+                flightrec.record("label_commit", worker=3, root=17)
                 client.close()
                 wait_disconnected(collector)
                 records = collector.stitched_records()
@@ -414,11 +521,13 @@ class TestRelayInProcess:
                 source = f"r5/pid{os.getpid()}"
                 assert span.attrs["worker"] == f"{source}:3"
                 assert span.thread.startswith(f"{source}:")
-                events = [r for r in records if r.name == "root_commit"]
+                events = [r for r in records if r.name == "label_commit"]
                 assert len(events) == 1
                 assert events[0].attrs["rank"] == 5
+                assert events[0].attrs["worker"] == f"{source}:3"
                 raw = collector.events()
-                assert raw and raw[-1]["source"] == source
+                assert [e["kind"] for e in raw] == ["label_commit"]
+                assert raw[-1]["source"] == source
         finally:
             obs.configure(tracing=False)
             obs.get_tracer().clear()
@@ -444,15 +553,43 @@ class TestRelayInProcess:
             assert "(no sources connected)" in frame
             reg = MetricsRegistry()
             reg.counter("fleet_total", "f").inc(1)
-            client = self._client(collector, 0, reg)
-            # Fake a drop report from the source.
-            client.bus.dropped["events"] = 3
+            client = RelayClient(
+                collector.host,
+                collector.port,
+                rank=0,
+                registry=reg,
+                flush_interval=60.0,  # flush manually below
+            )
+            # Overflow the ring between two flushes: real evictions.
+            client.flush()
+            for _ in range(flightrec.get_recorder().capacity + 3):
+                flightrec.record("flood")
             client.flush()
             client.close()
             wait_disconnected(collector)
             frame = render_fleet(collector)
             assert f"r0/pid{os.getpid()}" in frame
             assert "WARNING" in frame and "dropped" in frame
+            assert collector.stats()["dropped"] == 3
+
+    def test_render_fleet_build_line_from_progress_events(self):
+        with Collector(registry=MetricsRegistry()) as collector:
+            client = self._client(collector, 0, MetricsRegistry())
+            monitor = buildmon.BuildMonitor(
+                total_roots=4, interval_seconds=None
+            )
+            with buildmon.monitored(monitor):
+                for root in range(4):
+                    buildmon.report_root(0, root, labels=2)
+            # The final snapshot is recorded on scope exit; close()
+            # ships it even though no periodic flush ran.
+            client.close()
+            wait_disconnected(collector)
+            progress = collector.progress[f"r0/pid{os.getpid()}"]
+            assert progress["roots_done"] == 4 and progress["final"]
+            assert "roots_per_second" in progress
+            frame = render_fleet(collector)
+            assert "4/4 roots" in frame and "done" in frame
 
 
 def _fleet_child(host, port, rank):
@@ -469,7 +606,7 @@ def _fleet_child(host, port, rank):
     try:
         with obs.span("root_search", worker=rank, root=7):
             pass
-        bus_mod.publish_event("root_commit", worker=rank, root=7)
+        flightrec.record("label_commit", worker=rank, root=7)
     finally:
         client.close()
 
@@ -515,6 +652,14 @@ class TestTwoProcessIntegration:
             child_pids = {c.pid for c in children}
             assert {r.attrs["pid"] for r in spans} == child_pids
 
+            # Each child's one event arrives once, from its own source.
+            by_source = {}
+            for event in collector.events():
+                by_source.setdefault(event["source"], []).append(
+                    event["kind"]
+                )
+            assert sorted(by_source.values()) == [["label_commit"]] * 2
+
             # ... and land in ONE stitched Chrome trace.
             trace_path = tmp_path / "fleet.trace.json"
             count = collector.write_chrome_trace(str(trace_path))
@@ -547,8 +692,6 @@ class TestFailureModes:
             port,
             rank=0,
             registry=reg,
-            bus=TelemetryBus(),
-            install_bus=True,
             flush_interval=60.0,  # flush manually below
         )
         conn, _ = listener.accept()
@@ -563,8 +706,8 @@ class TestFailureModes:
 
         assert wait_until(flush_until_dead, timeout=10.0)
         assert client.send_failures >= 1
-        # A dead relay uninstalls its bus so producers stop paying.
-        assert bus_mod.active() is None
+        # Producers keep recording into the ring; nothing is shipped.
+        flightrec.record("after_death")
         assert client.flush() == 0  # dead clients stay quiet
         client.close()
 
@@ -656,8 +799,6 @@ class TestFailureModes:
                 collector.port,
                 rank=0,
                 registry=reg_a,
-                bus=TelemetryBus(),
-                install_bus=False,
                 flush_interval=0.05,
             )
             client.close()
@@ -671,8 +812,6 @@ class TestFailureModes:
                 collector.port,
                 rank=1,
                 registry=reg_b,
-                bus=TelemetryBus(),
-                install_bus=False,
                 flush_interval=0.05,
             )
             client.close()
