@@ -8,14 +8,12 @@ A concurrency-correctness analysis suite, all reachable through
   paths, lock discipline around shared stores, float-distance
   comparison hygiene, worker exception hygiene, import layering, and
   label-internal privacy.
-* :mod:`repro.check.sanitizer` — an opt-in Eraser-style lockset race
-  sanitizer that wraps the shared-memory build's hot objects
-  (``LabelStore``, ``DynamicAssignment``, ``ThreadComm``) and reports
-  any shared write whose candidate lockset becomes empty.
-* :mod:`repro.check.vectorclock` — a FastTrack-style happens-before
-  race detector over the same hook surface plus the synchronization
-  events (thread fork/join, comm envelope send/recv, barriers);
-  precise where the lockset engine over-approximates.
+* :mod:`repro.check.vectorclock` — the opt-in race sanitizer: a
+  FastTrack-style happens-before detector that wraps the shared-memory
+  build's hot objects (``LabelStore``, ``DynamicAssignment``,
+  ``ThreadComm``) and consumes the synchronization events (locks,
+  thread fork/join, comm envelope send/recv, barriers) to report any
+  pair of conflicting accesses no happens-before edge orders.
 * :mod:`repro.check.deadlock` — lock-order analysis: the runtime
   acquisition graph (cycles) plus a static nested-``with`` pass
   (order inversions).
@@ -52,9 +50,6 @@ _EXPORTS = {
     "all_rules": "repro.check.lint",
     "lint_paths": "repro.check.lint",
     "load_suppressions": "repro.check.lint",
-    "LocksetSanitizer": "repro.check.sanitizer",
-    "RaceReport": "repro.check.sanitizer",
-    "get_sanitizer": "repro.check.sanitizer",
     "VectorClockSanitizer": "repro.check.vectorclock",
     "VCRaceReport": "repro.check.vectorclock",
     "get_vc_sanitizer": "repro.check.vectorclock",
@@ -86,9 +81,6 @@ __all__ = [
     "all_rules",
     "lint_paths",
     "load_suppressions",
-    "LocksetSanitizer",
-    "RaceReport",
-    "get_sanitizer",
     "VectorClockSanitizer",
     "VCRaceReport",
     "get_vc_sanitizer",

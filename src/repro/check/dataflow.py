@@ -42,8 +42,8 @@ checked-in suppression file exactly like PC001–PC006):
 * **PC011** — ``threading.Lock()`` / ``RLock()`` / ``Condition()``
   created directly in the concurrency layers (``repro.parallel`` /
   ``repro.cluster`` / ``repro.service``): locks there must come from
-  ``repro.check.hooks.make_lock`` so the sanitizers and the deadlock
-  recorder can see them.
+  ``repro.check.hooks.make_lock`` so the race sanitizer and the
+  deadlock recorder can see them.
 """
 
 from __future__ import annotations
@@ -528,7 +528,7 @@ def _check_pc011(ctx: FileContext) -> Iterator[Violation]:
             yield _violation(
                 ctx, node, "PC011",
                 f"direct threading.{name}() in a concurrency layer — "
-                "the sanitizers and the deadlock recorder cannot see "
+                "the race sanitizer and the deadlock recorder cannot see "
                 "this lock",
                 "create it via repro.check.hooks.make_lock(\"<name>\") "
                 "(a plain Lock when no sanitizer is installed)",

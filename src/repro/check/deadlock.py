@@ -3,8 +3,8 @@
 Two cooperating passes over the same invariant — *locks must be
 acquired in one global order*:
 
-* **Runtime** — :class:`LockOrderRecorder` attaches to either race
-  sanitizer (both accept a ``lock_order=`` argument) and is fed every
+* **Runtime** — :class:`LockOrderRecorder` attaches to the race
+  sanitizer (its ``lock_order=`` argument) and is fed every
   acquisition made through :func:`repro.check.hooks.make_lock` locks,
   together with the set of locks the acquiring thread already holds.
   Each (held, acquiring) pair is an edge in the lock-order graph;
@@ -81,9 +81,9 @@ class StaticWithEdge:
 class LockOrderRecorder:
     """Accumulates the runtime lock-acquisition graph.
 
-    Thread-safe; the sanitizers call :meth:`note_acquire` under their
-    own state lock, but the recorder locks anyway so it can also be
-    driven directly from tests.
+    Thread-safe; the sanitizer calls :meth:`note_acquire` from the
+    acquiring thread without a global lock, so the recorder locks
+    itself (which also lets tests drive it directly).
     """
 
     def __init__(self) -> None:

@@ -1,4 +1,4 @@
-"""No-op hook points the runtime calls into the race sanitizers through.
+"""No-op hook points the runtime calls into the race sanitizer through.
 
 This module is the *only* part of :mod:`repro.check` that runtime code
 (``repro.parallel``, ``repro.cluster``, ``repro.sim``,
@@ -8,19 +8,15 @@ when no sanitizer is active every hook is a single global read plus a
 ``None`` check, cheap enough to leave in hot-ish paths (locks are
 created once, accesses are recorded per task, never per label probe).
 
-Two hook families:
+Two hook families, both consumed by the happens-before vector-clock
+detector (:mod:`repro.check.vectorclock`):
 
-* **lockset surface** (``make_lock`` / ``access`` / ``wrap_store``) —
-  consumed by both the Eraser-style lockset sanitizer
-  (:mod:`repro.check.sanitizer`) and the happens-before vector-clock
-  detector (:mod:`repro.check.vectorclock`).
+* **access surface** (``make_lock`` / ``access`` / ``wrap_store``) —
+  tracked locks and the shared locations they order.
 * **synchronization events** (``fork`` / ``join`` / ``send`` /
-  ``recv`` / ``barrier``) — happens-before edges only the vector-clock
-  detector consumes: thread creation/join in the builders, comm
-  envelope send/receive in ``SimComm``/``ThreadComm``, and barrier
-  arrive/depart pairs.  Engines that do not understand an event (the
-  lockset sanitizer) simply lack the method and the hook stays a no-op,
-  so the two detectors share one instrumentation surface.
+  ``recv`` / ``barrier``) — the remaining happens-before edges:
+  thread creation/join in the builders, comm envelope send/receive in
+  ``SimComm``/``ThreadComm``, and barrier arrive/depart pairs.
 
 The active sanitizer registers itself via :func:`set_active`.
 """
@@ -46,7 +42,7 @@ __all__ = [
 ]
 
 #: The active sanitizer object, or ``None``.  Typed loosely on purpose:
-#: this module must not import :mod:`repro.check.sanitizer`.
+#: this module must not import :mod:`repro.check.vectorclock`.
 _active: Optional[Any] = None
 
 
@@ -68,7 +64,7 @@ def is_active() -> bool:
 
 def make_lock(name: str) -> Any:
     """A lock for *name*: plain ``threading.Lock`` normally, a tracked
-    lock (recorded in the per-thread lockset) under the sanitizer."""
+    lock (carrying a vector clock) under the sanitizer."""
     s = _active
     if s is None:
         return threading.Lock()
@@ -109,9 +105,7 @@ def fork(child_name: str) -> None:
     """
     s = _active
     if s is not None:
-        fn = getattr(s, "thread_fork", None)
-        if fn is not None:
-            fn(child_name)
+        s.thread_fork(child_name)
 
 
 def join(child_name: str) -> None:
@@ -122,34 +116,29 @@ def join(child_name: str) -> None:
     """
     s = _active
     if s is not None:
-        fn = getattr(s, "thread_join", None)
-        if fn is not None:
-            fn(child_name)
+        s.thread_join(child_name)
 
 
 def send(channel: str) -> Optional[Any]:
     """Record one message departure on *channel*.
 
     Returns an opaque token to pass to :func:`recv` alongside the
-    message (``None`` when no happens-before engine is active).  The
-    token pins the edge to this exact message; a token-less ``recv``
-    falls back to the channel's accumulated clock, which is sound for
-    FIFO channels but coarser.
+    message (``None`` when no sanitizer is active).  The token pins the
+    edge to this exact message; a token-less ``recv`` falls back to the
+    channel's accumulated clock, which is sound for FIFO channels but
+    coarser.
     """
     s = _active
     if s is None:
         return None
-    fn = getattr(s, "send_event", None)
-    return fn(channel) if fn is not None else None
+    return s.send_event(channel)
 
 
 def recv(channel: str, token: Optional[Any] = None) -> None:
     """Record one message arrival on *channel* (see :func:`send`)."""
     s = _active
     if s is not None:
-        fn = getattr(s, "recv_event", None)
-        if fn is not None:
-            fn(channel, token)
+        s.recv_event(channel, token)
 
 
 def barrier(name: str, phase: str) -> None:
@@ -158,6 +147,4 @@ def barrier(name: str, phase: str) -> None:
     the wait — inherit everyone's pre-barrier history)."""
     s = _active
     if s is not None:
-        fn = getattr(s, "barrier_event", None)
-        if fn is not None:
-            fn(name, phase)
+        s.barrier_event(name, phase)

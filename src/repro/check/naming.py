@@ -3,10 +3,10 @@
 ``repro.check.hooks.make_lock`` names locks by *call site* ("the
 ThreadComm gather lock"), not by *instance* — two communicators both
 register ``"ThreadComm._gather_lock"``.  Analyses keyed on the name
-(the deadlock lock-order graph, rendered locksets, vector-clock lock
-clocks) would silently merge the acquisition histories of distinct
-locks, which both hides real inversions (an edge recorded on instance
-A pairs with an edge from instance B) and fabricates impossible ones.
+(the deadlock lock-order graph, vector-clock lock clocks) would
+silently merge the acquisition histories of distinct locks, which both
+hides real inversions (an edge recorded on instance A pairs with an
+edge from instance B) and fabricates impossible ones.
 :class:`LockNameRegistry` keeps the human name as the *base* and
 appends a per-instance ``#k`` suffix from the second registration on,
 so every lock object owns a unique identity while reports stay

@@ -1,13 +1,8 @@
 """FastTrack-style happens-before race detection for the shared builds.
 
-The lockset sanitizer (:mod:`repro.check.sanitizer`) over-approximates:
-it can only express "always protected by the same lock", so every
-synchronization idiom that is *not* a lock — thread fork/join, comm
-envelopes, barriers — has to be whitelisted (the ``unwrap_store``
-escape hatch before ``finalize()``, the barrier-ordered allgather slot
-reads).  This module is the precise complement: a vector-clock
-happens-before detector in the FastTrack (Flanagan & Freund, PLDI '09)
-family that consumes the full synchronization-event surface of
+The project's one race detector: a vector-clock happens-before
+detector in the FastTrack (Flanagan & Freund, PLDI '09) family that
+consumes the full synchronization-event surface of
 :mod:`repro.check.hooks` —
 
 * lock acquire/release (release merges the holder's clock into the
@@ -24,34 +19,46 @@ family that consumes the full synchronization-event surface of
 happens-before the other.  The commit-on-completion pattern of
 :mod:`repro.parallel.threads` (workers commit under the lock, the main
 thread finalizes lock-free *after joining them*) is therefore proven
-race-free by the join edges instead of whitelisted, which is the
-Proposition 1 discipline stated as a happens-before fact.
+race-free by the join edges, which is the Proposition 1 discipline
+stated as a happens-before fact; barrier-ordered reads (the
+``ThreadComm`` allgather slots) are tracked like any other access.
 
-Like the lockset engine it is strictly opt-in (install via
-:meth:`VectorClockSanitizer.install` or ``PARAPLL_SANITIZE=vc``), and
-it reports at most one race per location with both stacks captured.
+The limit of the method: it judges the observed run's order, so two
+unlocked writes that happen to be ordered by an unrelated tracked lock
+in this run are not reported (DESIGN.md §14).
+
+It is strictly opt-in (install via :meth:`VectorClockSanitizer.install`
+or ``PARAPLL_SANITIZE``, see :func:`enable_from_env`), and it reports
+at most one race per location with both stacks captured.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check import hooks as _hooks
 from repro.check.naming import LockNameRegistry, ThreadTokens
-from repro.check.sanitizer import SanitizedLabelStore
 from repro.errors import CheckError
 
 __all__ = [
     "VCAccess",
     "VCRaceReport",
     "VCTrackedLock",
+    "SanitizedLabelStore",
     "VectorClockSanitizer",
     "get_vc_sanitizer",
+    "enable_from_env",
+    "stress_threads",
+    "ENV_FLAG",
 ]
+
+#: Environment variable that opts the process into sanitizing.
+ENV_FLAG = "PARAPLL_SANITIZE"
 
 #: Frames of context captured per access (cost paid only when on).
 _STACK_LIMIT = 8
@@ -151,13 +158,10 @@ class VCRaceReport:
 class VCTrackedLock:
     """A lock whose release/acquire carries a vector clock."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, sanitizer: "VectorClockSanitizer", name: str) -> None:
         self._inner = threading.Lock()
         self._sanitizer = sanitizer
         self.name = name
-        self.lock_id = next(self._ids)
         self.clock: Clock = {}
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
@@ -181,6 +185,48 @@ class VCTrackedLock:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VCTrackedLock({self.name!r})"
+
+
+class SanitizedLabelStore:
+    """Write-tracking proxy around a :class:`~repro.core.labels.LabelStore`.
+
+    Mutations (``add`` / ``add_delta`` / ``merge_from``) record a
+    tracked write; reads delegate straight to the inner store (bound as
+    instance attributes so the hot pruning path pays no ``__getattr__``
+    dispatch).  Use :func:`repro.check.hooks.unwrap_store` before the
+    single-threaded finalize phase.
+    """
+
+    _ids = itertools.count(1)
+
+    def __init__(self, inner: Any, sanitizer: "VectorClockSanitizer") -> None:
+        self._san_inner = inner
+        self._sanitizer = sanitizer
+        self._location = f"LabelStore#{next(self._ids)}.labels"
+        # Hot read paths, bound once.
+        self.hubs_of = inner.hubs_of
+        self.dists_of = inner.dists_of
+        self.entries_of = inner.entries_of
+        self.label_size = inner.label_size
+
+    @property
+    def n(self) -> int:
+        return self._san_inner.n
+
+    def add(self, v: int, hub_rank: int, dist: float) -> None:
+        self._sanitizer.record_access(self._location, write=True)
+        self._san_inner.add(v, hub_rank, dist)
+
+    def add_delta(self, delta: Any) -> int:
+        self._sanitizer.record_access(self._location, write=True)
+        return self._san_inner.add_delta(delta)
+
+    def merge_from(self, other: Any) -> int:
+        self._sanitizer.record_access(self._location, write=True)
+        return self._san_inner.merge_from(other)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._san_inner, name)
 
 
 class _ThreadState:
@@ -272,11 +318,6 @@ class VectorClockSanitizer:
         """True when no races have been reported."""
         return not self.reports
 
-    @property
-    def access_count(self) -> int:
-        """Total shared-location accesses recorded so far."""
-        return self.accesses_tracked
-
     def render(self) -> str:
         """Terminal summary of the run."""
         lines = [
@@ -316,8 +357,6 @@ class VectorClockSanitizer:
         return VCTrackedLock(self, unique)
 
     def wrap_store(self, store: Any) -> SanitizedLabelStore:
-        # The write-tracking proxy is engine-agnostic: it only calls
-        # back into record_access, which both detectors implement.
         return SanitizedLabelStore(store, self)
 
     # Lock acquire/release run WITHOUT the state lock: they are the
@@ -462,3 +501,71 @@ def get_vc_sanitizer() -> Optional[VectorClockSanitizer]:
     """The currently installed vector-clock sanitizer, or ``None``."""
     active = _hooks.get_active()
     return active if isinstance(active, VectorClockSanitizer) else None
+
+
+def enable_from_env() -> Optional[VectorClockSanitizer]:
+    """Install a sanitizer if ``PARAPLL_SANITIZE`` is set truthy.
+
+    Any truthy value (``1``, ``vc``, ...) installs a
+    :class:`VectorClockSanitizer`.  Returns the installed sanitizer
+    (new or pre-existing) or ``None`` when the flag is unset.  Used by
+    the test suite's conftest so CI can run the tier-1 thread tests
+    sanitized with one env var.
+    """
+    value = os.environ.get(ENV_FLAG, "").lower()
+    if value in ("", "0", "false", "no"):
+        return None
+    existing = _hooks.get_active()
+    if existing is not None:
+        return existing
+    return VectorClockSanitizer().install()
+
+
+@dataclass
+class _StressResult:
+    """Outcome of :func:`stress_threads` (the ``check races`` CLI)."""
+
+    sanitizer: VectorClockSanitizer
+    builds: int = 0
+    vertices: int = 0
+
+
+def stress_threads(
+    num_threads: int = 4,
+    repeats: int = 3,
+    n: int = 120,
+    m: int = 400,
+    seed: int = 7,
+    sanitizer: Optional[VectorClockSanitizer] = None,
+    cluster: bool = False,
+) -> _StressResult:
+    """Run sanitized threaded builds as a race-hunting stress load.
+
+    Builds a seeded random graph and runs the shared-memory builder
+    ``repeats`` times per policy with the sanitizer installed (a fresh
+    :class:`VectorClockSanitizer` by default; pass one to attach a
+    ``lock_order`` recorder).  With ``cluster=True`` each repeat also
+    runs the thread-backed cluster build, exercising the ``ThreadComm``
+    envelope/barrier paths.  Violations show up in
+    ``result.sanitizer.reports``.
+    """
+    from repro.generators.random_graphs import gnm_random_graph
+    from repro.parallel.threads import build_parallel_threads
+
+    graph = gnm_random_graph(n, m, seed=seed)
+    if sanitizer is None:
+        sanitizer = VectorClockSanitizer()
+    result = _StressResult(sanitizer=sanitizer, vertices=n)
+    with sanitizer:
+        for _ in range(repeats):
+            for policy in ("dynamic", "static"):
+                build_parallel_threads(graph, num_threads, policy=policy)
+                result.builds += 1
+            if cluster:
+                from repro.cluster.runner import run_cluster_threads
+
+                run_cluster_threads(
+                    graph, max(2, min(num_threads, 4)), syncs=2
+                )
+                result.builds += 1
+    return result

@@ -23,7 +23,7 @@ Subcommands::
     parapll perf     compare benchmarks/baseline.json BENCH_dev.json
     parapll timeline --dataset Gnutella --sim --out t.json # Perfetto trace
     parapll check    lint [PATHS...]                       # project linter
-    parapll check    races --threads 4                     # lockset sanitizer
+    parapll check    races --threads 4                     # race detector
     parapll check    index --index g.index.npz --graph g.npz
 
 Graphs are accepted as ``.npz`` (our binary cache), ``.gr`` (DIMACS) or
@@ -859,8 +859,7 @@ def _corpus_findings(cases: list) -> "Tuple[list, dict]":
 
 def _cmd_check_races(args: argparse.Namespace) -> int:
     from repro.check import report as _report
-    from repro.check.sanitizer import LocksetSanitizer, stress_threads
-    from repro.check.vectorclock import VectorClockSanitizer
+    from repro.check.vectorclock import stress_threads
 
     if args.corpus:
         from repro.check.corpus import run_race_corpus
@@ -872,47 +871,33 @@ def _cmd_check_races(args: argparse.Namespace) -> int:
             args, _report.make_report("races", findings, stats)
         )
 
-    sanitizer = (
-        LocksetSanitizer()
-        if args.detector == "lockset" else VectorClockSanitizer()
-    )
     result = stress_threads(
         num_threads=args.threads,
         repeats=args.repeats,
         n=args.vertices,
         m=args.edges,
         seed=args.seed,
-        sanitizer=sanitizer,
         cluster=args.cluster,
     )
+    sanitizer = result.sanitizer
     if args.json or args.out:
-        if args.detector == "lockset":
-            findings = [
-                _report.finding(
-                    kind="race", rule="LS-RACE",
-                    message=f"no lock consistently protects {r.location}",
-                    detail=r.render(),
-                )
-                for r in sanitizer.reports
-            ]
-        else:
-            findings = [r.to_finding() for r in sanitizer.reports]
+        findings = [r.to_finding() for r in sanitizer.reports]
         doc = _report.make_report(
             "races", findings,
             {
-                "detector": args.detector,
+                "detector": "vc",
                 "builds": result.builds,
                 "accesses": sanitizer.accesses_tracked,
                 "threads": args.threads,
             },
         )
         return _emit_check_report(args, doc)
-    print(result.sanitizer.render())
+    print(sanitizer.render())
     print(
         f"stressed {result.builds} sanitized build(s) on "
         f"{result.vertices} vertices with {args.threads} thread(s)"
     )
-    return 0 if result.sanitizer.ok else 1
+    return 0 if sanitizer.ok else 1
 
 
 def _cmd_check_deadlocks(args: argparse.Namespace) -> int:
@@ -931,8 +916,10 @@ def _cmd_check_deadlocks(args: argparse.Namespace) -> int:
     recorder = LockOrderRecorder()
     stats: dict = {"paths": list(args.paths)}
     if not args.no_stress:
-        from repro.check.sanitizer import stress_threads
-        from repro.check.vectorclock import VectorClockSanitizer
+        from repro.check.vectorclock import (
+            VectorClockSanitizer,
+            stress_threads,
+        )
 
         sanitizer = VectorClockSanitizer(lock_order=recorder)
         result = stress_threads(
@@ -1559,10 +1546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--vertices", type=int, default=120)
     cr.add_argument("--edges", type=int, default=400)
     cr.add_argument("--seed", type=int, default=7)
-    cr.add_argument(
-        "--detector", choices=("vc", "lockset"), default="vc",
-        help="happens-before vector clocks (default) or Eraser locksets",
-    )
     cr.add_argument(
         "--cluster", action="store_true",
         help="also stress the simulated-cluster thread backend",

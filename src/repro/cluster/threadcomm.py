@@ -88,8 +88,9 @@ class ThreadComm:
         self._gather_slots: List[Any] = [None] * size
         self._gather_filled: List[bool] = [False] * size
         # Race-sanitizer locations (no-ops unless repro.check is active).
-        # Slot *reads* in allgather are barrier-ordered, not lock-
-        # protected, so only the lock-guarded mutations are tracked.
+        # Slot writes happen under the gather lock; the allgather
+        # read-out is ordered after them by the fill barrier, and the
+        # sanitizer checks that edge like any other.
         self._san_boxes = f"ThreadComm#{id(self)}._boxes"
         self._san_gather = f"ThreadComm#{id(self)}._gather_slots"
         # Happens-before event names (vector-clock sanitizer): one
@@ -184,6 +185,7 @@ class ThreadComm:
             self._gather_filled[rank] = True
         self.barrier(rank)  # everyone has written
         _flightrec.record("comm_allgather", rank=rank, ranks=self.size)
+        _check_hooks.access(self._san_gather, write=False)
         result = []
         for src, raw in enumerate(self._gather_slots):
             slot_payload, env_ctx, flow_id = _ctx.unwrap(raw)

@@ -811,6 +811,8 @@ def _wl_check_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
         fraction = hook_wall / plain
     finally:
         _check_hooks.set_active(ambient)
+        if gc_was_enabled:
+            gc.enable()
 
     return {
         "plain_build_seconds": _metric(plain, "time", "s"),

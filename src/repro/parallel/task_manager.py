@@ -65,7 +65,7 @@ class StaticAssignment:
         self._cursors = [0] * num_workers
         self._lock = _check_hooks.make_lock("StaticAssignment._lock")
         # Per-worker sanitizer locations: each cursor is thread-confined
-        # by construction, which the lockset analysis verifies.
+        # by construction, which the race sanitizer verifies.
         self._san_locs = [
             f"StaticAssignment#{id(self)}._cursors[{k}]"
             for k in range(num_workers)

@@ -87,8 +87,8 @@ def build_parallel_threads(
         order = by_degree(graph)
     assignment = make_assignment(policy, order, num_threads, chunk=chunk)
     # Under the race sanitizer (repro.check), the store is wrapped for
-    # commit tracking and the lock participates in lockset analysis;
-    # both calls are identity/plain-Lock when the sanitizer is off.
+    # commit tracking and the lock carries happens-before edges; both
+    # calls are identity/plain-Lock when the sanitizer is off.
     store = _check_hooks.wrap_store(LabelStore(graph.num_vertices))
     commit_lock = _check_hooks.make_lock("parapll.commit_lock")
     errors: List[WorkerFailure] = []
@@ -178,8 +178,7 @@ def build_parallel_threads(
         ]
         for t in threads:
             # Fork/join edges let the happens-before sanitizer prove
-            # the commit-on-completion pattern race-free (the lockset
-            # engine can only whitelist it via unwrap_store below).
+            # the commit-on-completion pattern race-free.
             _check_hooks.fork(t.name)
             t.start()
         for t in threads:

@@ -10,16 +10,15 @@ from repro.graph.csr import CSRGraph
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _lockset_sanitizer_from_env():
-    """Install a race sanitizer when PARAPLL_SANITIZE is set.
+def _race_sanitizer_from_env():
+    """Install the vector-clock race sanitizer when PARAPLL_SANITIZE is
+    set to any truthy value (``1`` and ``vc`` alike).
 
-    ``PARAPLL_SANITIZE=vc`` selects the vector-clock (happens-before)
-    engine; any other truthy value selects the lockset engine.  CI's
-    lint-and-sanitize job runs the threaded tests with the flag on; any
-    race in the commit path, the dynamic queue, or the thread
+    CI's lint-and-sanitize job runs the threaded tests with the flag
+    on; any race in the commit path, the dynamic queue, or the thread
     communicator fails the session at teardown with full stacks.
     """
-    from repro.check.sanitizer import enable_from_env
+    from repro.check.vectorclock import enable_from_env
 
     sanitizer = enable_from_env()
     yield

@@ -1,4 +1,4 @@
-"""Seeded defect: a lock the sanitizers cannot see (PC011) — a direct
+"""Seeded defect: a lock the race sanitizer cannot see (PC011) — a direct
 ``threading.Lock()`` instead of ``repro.check.hooks.make_lock``."""
 
 import threading

@@ -1,9 +1,9 @@
 """Clean pattern: ParaPLL's commit-on-completion (Proposition 1).
 
 Workers commit to the shared store under a single commit lock; after
-the joins the main thread reads lock-free.  The lockset engine flags
-that unlocked read (the read's lockset is empty) — the vector-clock
-engine must prove it race-free via the fork/join and lock
+the joins the main thread reads lock-free.  A lockset (Eraser-style)
+detector flags that unlocked read (the read's lockset is empty) — the
+vector-clock engine must prove it race-free via the fork/join and lock
 release/acquire edges."""
 
 import threading

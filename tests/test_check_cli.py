@@ -88,15 +88,15 @@ class TestCheckRaces:
         assert code == 0
         assert "0 race(s)" in out
 
-    def test_lockset_detector_and_cluster(self, capsys):
+    def test_cluster_stress_is_race_free(self, capsys):
         code = main(
             ["check", "races", "--threads", "2", "--repeats", "1",
-             "--vertices", "40", "--edges", "90",
-             "--detector", "lockset", "--cluster"]
+             "--vertices", "40", "--edges", "90", "--cluster"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "0 race(s)" in out
+        assert "stressed 3 sanitized build(s)" in out  # 2 policies + cluster
 
     def test_json_report(self, tmp_path, capsys):
         out_file = tmp_path / "races.json"

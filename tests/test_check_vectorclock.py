@@ -6,10 +6,11 @@ import pytest
 
 from repro.check import hooks
 from repro.check.corpus import run_race_corpus
-from repro.check.sanitizer import ENV_FLAG, LocksetSanitizer, enable_from_env
 from repro.check.vectorclock import (
+    ENV_FLAG,
     VCTrackedLock,
     VectorClockSanitizer,
+    enable_from_env,
     get_vc_sanitizer,
 )
 from repro.errors import CheckError
@@ -199,20 +200,6 @@ class TestSequentialThreads:
         assert not t.is_alive()
         hooks.join(name)
 
-    def test_lockset_sees_sequential_writers_as_shared(self):
-        san = LocksetSanitizer()
-        with san:
-            lock = san.make_lock("commit")
-
-            def worker():
-                with lock:
-                    san.record_access("loc", write=True)
-
-            for i in range(3):
-                self._run_one(f"w{i}", worker)
-            san.record_access("loc", write=False)
-        assert not san.ok  # the unlocked read after the commits
-
     def test_vc_merges_each_readers_fork_edge(self, vc):
         def reader():
             vc.record_access("loc", write=False)
@@ -237,30 +224,34 @@ class TestCommitOnCompletion:
         assert vc.accesses_tracked > 0
         assert vc.sync_events > 0  # fork/join edges were exercised
 
-    def test_vc_accepts_what_lockset_would_flag(self):
-        """The corpus commit-on-completion pattern: clean under VC,
-        flagged by the lockset engine (the whole point of having both).
-        """
-        commit_pattern = "tests/corpus/races/clean_commit_on_completion.py"
 
-        def run_pattern(sanitizer):
-            import importlib.util
+class TestThreadCommAllgather:
+    """The allgather read-out is ordered after the slot writes by the
+    fill barrier — a checked edge, not an exemption."""
 
-            spec = importlib.util.spec_from_file_location(
-                "corpus_commit_pattern", commit_pattern
-            )
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            with sanitizer:
-                module.run()
+    @staticmethod
+    def _allgather_3_ranks():
+        from repro.cluster.threadcomm import ThreadComm, run_ranks
 
-        vc = VectorClockSanitizer()
-        run_pattern(vc)
+        comm = ThreadComm(3, timeout=10.0)
+        results = run_ranks(comm, lambda rank, c: c.allgather(rank, rank))
+        assert results == [[0, 1, 2]] * 3
+
+    def test_dropped_barrier_edges_race_on_the_slots(self, vc, monkeypatch):
+        monkeypatch.setattr(hooks, "barrier", lambda name, phase: None)
+        self._allgather_3_ranks()
+        assert any(
+            r.location.endswith("._gather_slots") and not r.second.write
+            for r in vc.reports
+        ), vc.render()
+
+    def test_barrier_edges_keep_the_slots_race_free(self, vc):
+        from repro.cluster.runner import run_cluster_threads
+        from repro.generators.random_graphs import gnm_random_graph
+
+        self._allgather_3_ranks()
+        run_cluster_threads(gnm_random_graph(30, 80, seed=3), 3, syncs=2)
         assert vc.ok, vc.render()
-
-        lockset = LocksetSanitizer()
-        run_pattern(lockset)
-        assert not lockset.ok  # over-approximation, documented
 
 
 class TestCorpus:
@@ -286,14 +277,9 @@ class TestLifecycle:
         san.uninstall()
         assert get_vc_sanitizer() is None
 
-    def test_lockset_getter_ignores_vc(self, vc):
-        from repro.check.sanitizer import get_sanitizer
-
-        assert get_sanitizer() is None
-
     def test_double_install_rejected(self, vc):
         with pytest.raises(CheckError):
-            LocksetSanitizer().install()
+            VectorClockSanitizer().install()
 
     def test_enable_from_env_vc(self, monkeypatch):
         monkeypatch.setenv(ENV_FLAG, "vc")

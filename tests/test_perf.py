@@ -346,3 +346,17 @@ class TestBatchQueryWorkload:
         assert metrics["batch_seconds"]["kind"] == "time"
         assert metrics["scalar_seconds"]["kind"] == "time"
         assert metrics["batch_over_scalar"]["kind"] == "time"
+
+
+class TestCheckOverheadWorkload:
+    def test_gc_state_is_restored(self):
+        """The workload freezes the collector only while it times."""
+        import gc
+
+        from repro.obs.perf import _wl_check_overhead
+
+        assert gc.isenabled()
+        ctx = PerfContext(scale=0.1, seed=42, dataset="Gnutella")
+        metrics = _wl_check_overhead(ctx)
+        assert gc.isenabled()
+        assert metrics["vc_races"]["value"] == 0.0
