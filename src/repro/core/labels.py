@@ -295,6 +295,17 @@ class LabelStore:
             return self._dists[v]
         return self.finalized_dists(v)
 
+    def live_lists(self) -> Optional[Tuple[List[List[int]], List[List[float]]]]:
+        """The mutable per-vertex ``(hubs, dists)`` lists themselves
+        (do not mutate), or None for a frozen store.
+
+        The compiled pruning kernel reads them in place, so the lists
+        stay the store's only copy of the labels.
+        """
+        if self._hubs is None:
+            return None
+        return self._hubs, self._dists
+
     def entries_of(self, v: int) -> List[Tuple[int, float]]:
         """``(hub_rank, dist)`` pairs of ``L(v)`` (copied)."""
         if self._hubs is not None:

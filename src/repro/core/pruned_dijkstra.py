@@ -16,16 +16,34 @@ The pruning test (line 6 of Algorithm 1) is
 ``QUERY(root, u) <= D[u]``: if the 2-hop cover over *already committed*
 labels already explains the tentative distance, the search does not
 label ``u`` and does not expand it.
+
+The search runs in compiled code (``pruned_dijkstra.c``) whenever a C
+compiler could build it, reading the store's live label lists under
+the GIL.  The Python loop (:meth:`PrunedDijkstra._run_python`) is the
+reference it must match entry for entry and counter for counter, and
+the fallback when there is no compiler or the store is frozen.  See
+DESIGN.md section 17.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import heapq
-from typing import List, Optional, Sequence, Tuple
+import importlib.machinery
+import importlib.resources
+import logging
+import os
+import subprocess
+import tempfile
+import threading
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.labels import LabelStore
 from repro.core.query import clear_tmp, load_tmp
-from repro.errors import OrderingError
+from repro.errors import GraphError, OrderingError
 from repro.obs.instruments import record_search
 from repro.graph.csr import CSRGraph
 from repro.graph.order import ordering_rank, validate_ordering
@@ -35,6 +53,98 @@ __all__ = ["PrunedDijkstra"]
 
 #: A delta: label entries ``(vertex, distance)`` contributed by one root.
 Delta = List[Tuple[int, float]]
+
+logger = logging.getLogger(__name__)
+
+#: The C compiler that builds the kernel.
+COMPILER = "cc"
+
+_SOURCE = "pruned_dijkstra.c"
+#: One heap entry of the kernel: ``struct {double d; int64_t v;}``.
+_HEAP_ITEM = np.dtype([("d", np.float64), ("v", np.int64)])
+_UNTRIED: Any = object()
+_kernel: Any = _UNTRIED
+_kernel_lock = threading.Lock()
+
+
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/parapll`` or ``~/.cache/parapll``, whichever is
+    writable first; else a private new directory under the temp dir."""
+    for base in (
+        os.environ.get("XDG_CACHE_HOME"),
+        os.path.join(os.path.expanduser("~"), ".cache"),
+    ):
+        if not base:
+            continue
+        path = os.path.join(base, "parapll")
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError:
+            continue
+        if os.access(path, os.W_OK):
+            return path
+    return tempfile.mkdtemp(prefix="parapll-")
+
+
+def _compile_kernel() -> Callable[..., int]:
+    """The kernel's ``pd_run``, compiled into the cache unless there.
+
+    The object links against ``Python.h``, so its name carries the
+    interpreter's ``EXT_SUFFIX`` (the first extension suffix) beside the
+    source hash.  It is written to a per-process file and renamed into
+    place, so a concurrent process never loads half a file.
+    """
+    source = importlib.resources.files("repro.core").joinpath(_SOURCE)
+    key = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(_cache_dir(), f"pruned_dijkstra-{key}{suffix}")
+    if not os.path.exists(path):
+        # Imported here: it costs ~0.2 MB, which processes that only
+        # serve queries, or find the object cached, need not pay.
+        import sysconfig
+
+        part = f"{path}.{os.getpid()}.tmp"
+        try:
+            with importlib.resources.as_file(source) as src:
+                subprocess.run(
+                    [
+                        COMPILER, "-O2", "-shared", "-fPIC",
+                        "-I", sysconfig.get_paths()["include"],
+                        str(src), "-o", part,
+                    ],
+                    check=True, capture_output=True, text=True, timeout=300,
+                )
+            os.replace(part, path)
+        finally:
+            if os.path.exists(part):
+                os.unlink(part)
+    fn = ctypes.PyDLL(path).pd_run
+    obj, i64, ptr = ctypes.py_object, ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [obj, obj, i64, ptr, ptr, ptr, i64, i64] + [ptr] * 7
+    fn.restype = i64
+    return fn
+
+
+def _load_kernel() -> Optional[Callable[..., int]]:
+    """The compiled per-root search, or None when it cannot be built.
+
+    Nothing compiles at import: the first call in a process compiles or
+    loads the cached object.  A failure is logged once per process, and
+    every engine then runs the Python loop.
+    """
+    global _kernel
+    with _kernel_lock:
+        if _kernel is _UNTRIED:
+            try:
+                _kernel = _compile_kernel()
+            except (OSError, subprocess.SubprocessError) as exc:
+                detail = (getattr(exc, "stderr", None) or str(exc)).strip()
+                logger.warning(
+                    "compiled pruned search unavailable, using the Python "
+                    "loop: %s", detail[-500:]
+                )
+                _kernel = None
+        return _kernel
 
 
 class PrunedDijkstra:
@@ -47,7 +157,9 @@ class PrunedDijkstra:
 
     Thread safety: instances hold mutable scratch state, so each worker
     thread must own its *own* ``PrunedDijkstra`` (they may share the
-    graph and the label store; see :mod:`repro.parallel.threads`).
+    graph and the label store; see :mod:`repro.parallel.threads`).  The
+    compiled kernel holds the GIL for a whole search, so threads sharing
+    a store interleave per root rather than per heap pop.
     """
 
     def __init__(self, graph: CSRGraph, order: Sequence[int]) -> None:
@@ -55,11 +167,36 @@ class PrunedDijkstra:
         self.order = validate_ordering(graph, order)
         self.rank = ordering_rank(self.order)
         self._rank_list: List[int] = self.rank.tolist()
-        self._adj = graph.adjacency_lists()
-        n = graph.num_vertices
-        # Dense scratch arrays, reset sparsely after each run.
-        self._dist: List[float] = [INF] * n
-        self._tmp: List[float] = [INF] * n
+        # The Python loop's adjacency and scratch lists, built on its
+        # first run only.
+        self._adj: Optional[List[List[Tuple[int, float]]]] = None
+        self._dist: List[float] = []
+        self._tmp: List[float] = []
+        self._kernel = _load_kernel()
+        if self._kernel is not None:
+            n = graph.num_vertices
+            # Contiguous arrays of the dtypes the C side reads; the
+            # engine holds them so the pointers stay valid.
+            csr = (
+                np.ascontiguousarray(graph.indptr, dtype=np.int64),
+                np.ascontiguousarray(graph.indices, dtype=np.int32),
+                np.ascontiguousarray(graph.weights, dtype=np.float64),
+            )
+            self._out_v = np.empty(n, dtype=np.int64)
+            self._out_d = np.empty(n, dtype=np.float64)
+            self._counts = np.zeros(6, dtype=np.int64)
+            scratch = (
+                np.full(n, INF),  # dist
+                np.full(n, INF),  # tmp
+                np.empty(n, dtype=np.int64),  # touched
+                np.empty(len(csr[1]) + 1, dtype=_HEAP_ITEM),  # heap
+                self._out_v,
+                self._out_d,
+                self._counts,
+            )
+            self._arrays = csr + scratch
+            self._csr_args = (n,) + tuple(a.ctypes.data for a in csr)
+            self._scratch_args = tuple(a.ctypes.data for a in scratch)
 
     # ------------------------------------------------------------------
     def run(
@@ -67,8 +204,9 @@ class PrunedDijkstra:
     ) -> Delta:
         """Pruned search from *root*; returns the label delta.
 
-        Algorithm 1 needs only insert and delete-min, so the queue is an
-        inlined lazy-deletion ``heapq`` that re-inserts on relaxation.
+        Runs the compiled kernel when it loaded and *store* has live
+        label lists, else the Python loop; both give the same delta and
+        counters.
 
         Args:
             root: the root vertex (must belong to the bound graph).
@@ -81,8 +219,54 @@ class PrunedDijkstra:
             List of ``(vertex, distance)`` pairs: for each kept vertex
             ``u``, the exact distance ``d(root, u)``.  The root itself is
             always first with distance 0.
+
+        Raises:
+            GraphError: for a root outside the graph, or (compiled
+                kernel) a label entry whose hub rank is outside
+                ``[0, n)`` or whose distance is not a number.
         """
         self.graph._check_vertex(root)
+        lists = store.live_lists() if self._kernel is not None else None
+        if lists is None:
+            return self._run_python(root, store, stats)
+        hubs, dists = lists
+        n = self.graph.num_vertices
+        if len(hubs) < n or len(dists) < n:
+            raise GraphError(
+                f"label store holds {min(len(hubs), len(dists))} vertices, "
+                f"the graph {n}"
+            )
+        k = self._kernel(
+            hubs, dists, *self._csr_args, root, self._rank_list[root],
+            *self._scratch_args,
+        )
+        counts = self._counts.tolist()
+        if k < 0:
+            v, i = counts[0], counts[1]
+            if i < 0:
+                raise GraphError(f"label of vertex {v} is not two lists", vertex=v)
+            raise GraphError(
+                f"label entry {i} of vertex {v}: hub {hubs[v][i]!r} "
+                f"(ranks lie in [0, {n})), distance {dists[v][i]!r}",
+                vertex=v, hub=hubs[v][i],
+            )
+        delta = list(zip(self._out_v[:k].tolist(), self._out_d[:k].tolist()))
+        _report(root, len(delta), stats, *counts)
+        return delta
+
+    def _run_python(
+        self, root: int, store: LabelStore, stats: Optional[SearchStats]
+    ) -> Delta:
+        """The reference pruned search, in Python.
+
+        Algorithm 1 needs only insert and delete-min, so the queue is an
+        inlined lazy-deletion ``heapq`` that re-inserts on relaxation.
+        """
+        if self._adj is None:
+            n = self.graph.num_vertices
+            self._adj = self.graph.adjacency_lists()
+            self._dist = [INF] * n
+            self._tmp = [INF] * n
         # Hoist everything the inner loop touches into locals.
         adj = self._adj
         dist = self._dist
@@ -138,16 +322,10 @@ class PrunedDijkstra:
             dist[v] = INF
         clear_tmp(tmp, touched_tmp)
 
-        record_search(n_settled, n_pruned, len(delta), n_pop, n_scan)
-        if stats is not None:
-            stats.root = root
-            stats.settled = n_settled
-            stats.pruned = n_pruned
-            stats.labels_added = len(delta)
-            stats.relaxations = n_relax
-            stats.heap_pushes = n_push
-            stats.heap_pops = n_pop
-            stats.query_entries_scanned = n_scan
+        _report(
+            root, len(delta), stats,
+            n_settled, n_pruned, n_relax, n_push, n_pop, n_scan,
+        )
         return delta
 
     # ------------------------------------------------------------------
@@ -163,3 +341,27 @@ class PrunedDijkstra:
         if not 0 <= v < len(self.rank):
             raise OrderingError(f"vertex {v} out of range")
         return int(self.rank[v])
+
+
+def _report(
+    root: int,
+    labels: int,
+    stats: Optional[SearchStats],
+    settled: int,
+    pruned: int,
+    relaxations: int,
+    pushes: int,
+    pops: int,
+    scanned: int,
+) -> None:
+    """Record one search's counters, and copy them into *stats*."""
+    record_search(settled, pruned, labels, pops, scanned)
+    if stats is not None:
+        stats.root = root
+        stats.settled = settled
+        stats.pruned = pruned
+        stats.labels_added = labels
+        stats.relaxations = relaxations
+        stats.heap_pushes = pushes
+        stats.heap_pops = pops
+        stats.query_entries_scanned = scanned

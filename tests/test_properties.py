@@ -6,18 +6,24 @@ orderings, and parallel schedules.
 """
 
 import math
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra_sssp
+from repro.core import pruned_dijkstra
 from repro.core.index import PLLIndex
 from repro.core.labels import LabelStore
+from repro.core.pruned_dijkstra import PrunedDijkstra
 from repro.core.query import query_distance, query_numpy
 from repro.core.serial import build_serial
 from repro.graph.builder import GraphBuilder
 from repro.graph.order import by_random
 from repro.sim.executor import simulate_intra_node
+from repro.types import SearchStats
 
 
 @st.composite
@@ -143,3 +149,104 @@ def test_builder_idempotent_under_duplicates(pairs, weight):
             b.add_edge(u, v, weight)
             b.add_edge(v, u, weight)
     assert a.build() == b.build()
+
+
+# ----------------------------------------------------------------------
+# The compiled kernel against the Python reference loop
+# ----------------------------------------------------------------------
+@st.composite
+def tied_graphs(draw, max_n=14, max_m=30):
+    """A small graph in two disconnected parts, with isolated vertices
+    likely and weights drawn from a few values, so distances tie often.
+
+    Zero weights cannot occur: ``CSRGraph`` rejects them, so ``1e-9``
+    stands in for a near-zero edge."""
+    n = draw(st.integers(1, max_n))
+    split = draw(st.integers(0, n))
+    builder = GraphBuilder(num_vertices=n)
+    for lo, hi in ((0, split), (split, n)):
+        if hi - lo < 2:
+            continue
+        for _ in range(draw(st.integers(0, max_m // 2))):
+            u = draw(st.integers(lo, hi - 1))
+            v = draw(st.integers(lo, hi - 1))
+            w = draw(st.sampled_from([1.0, 1.0, 2.0, 0.5, 3.0, 1e-9]))
+            if u != v:
+                builder.add_edge(u, v, w)
+    return builder.build()
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """Skip unless the compiled kernel builds and loads here."""
+    if pruned_dijkstra._load_kernel() is None:
+        pytest.skip("no C compiler: the compiled kernel is unavailable")
+
+
+def _reference_loop():
+    """Engines constructed inside run the Python loop."""
+    return mock.patch.object(pruned_dijkstra, "_load_kernel", return_value=None)
+
+
+def _assert_exact(index, graph):
+    for s in range(graph.num_vertices):
+        truth = dijkstra_sssp(graph, s)
+        for t in range(graph.num_vertices):
+            got = index.distance(s, t)
+            assert got == truth[t] or math.isclose(got, truth[t])
+
+
+@pytest.mark.usefixtures("kernel")
+@given(tied_graphs(), st.integers(0, 10))
+@settings(max_examples=80, deadline=None)
+@example(GraphBuilder(num_vertices=1).build(), 0)
+def test_kernel_matches_reference_loop(graph, seed):
+    """Same delta and the same six counters per root, then the same
+    finalized labels, entry for entry."""
+    order = by_random(graph, seed=seed)
+    kernel = PrunedDijkstra(graph, order)
+    with _reference_loop():
+        reference = PrunedDijkstra(graph, order)
+    assert kernel._kernel is not None and reference._kernel is None
+    stores = LabelStore(graph.num_vertices), LabelStore(graph.num_vertices)
+    for root in order.tolist():
+        stats = SearchStats(), SearchStats()
+        deltas = [
+            engine.run(root, store, st_)
+            for engine, store, st_ in zip((kernel, reference), stores, stats)
+        ]
+        assert deltas[0] == deltas[1]
+        assert stats[0] == stats[1]
+        for engine, store, delta in zip((kernel, reference), stores, deltas):
+            engine.commit(root, delta, store)
+    for store in stores:
+        store.finalize()
+    assert stores[0] == stores[1]
+    for a, b in zip(stores[0].finalized_arrays(), stores[1].finalized_arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+def _threads_static(graph):
+    return PLLIndex.build_parallel(graph, 3, policy="static")
+
+
+def _threads_dynamic(graph):
+    return PLLIndex.build_parallel(graph, 3, policy="dynamic")
+
+
+def _procs2(graph):
+    return PLLIndex.build_parallel(graph, 2, backend="procs")
+
+
+def _simulated(graph):
+    return simulate_intra_node(graph, 3, jitter=0.3, seed=3)[0]
+
+
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize(
+    "build", [_threads_static, _threads_dynamic, _procs2, _simulated]
+)
+@given(graph=tied_graphs(max_n=10, max_m=20))
+@settings(max_examples=4, deadline=None)
+def test_parallel_builders_with_kernel_are_exact(build, graph):
+    _assert_exact(build(graph), graph)

@@ -1,9 +1,19 @@
 """Tests for Algorithm 1 (the pruned Dijkstra engine)."""
 
+import hashlib
+import importlib.resources
+import logging
+import os
+import shutil
+import sysconfig
+
+import numpy as np
 import pytest
 
+from repro.core import pruned_dijkstra
 from repro.core.labels import LabelStore
 from repro.core.pruned_dijkstra import PrunedDijkstra
+from repro.core.serial import build_serial
 from repro.baselines.dijkstra import dijkstra_sssp
 from repro.errors import GraphError, OrderingError
 from repro.graph.order import by_degree
@@ -132,3 +142,135 @@ class TestValidation:
         d_a2 = engine.run(0, store)
         assert d_a1 == d_a2
         assert d_b == engine.run(1, store)
+
+
+# ----------------------------------------------------------------------
+# The compiled kernel
+# ----------------------------------------------------------------------
+@pytest.fixture
+def kernel():
+    """Skip unless the compiled kernel builds and loads here."""
+    if pruned_dijkstra._load_kernel() is None:
+        pytest.skip("no C compiler: the compiled kernel is unavailable")
+
+
+def reference_engine(monkeypatch, graph, order):
+    """An engine that runs the Python loop."""
+    with monkeypatch.context() as m:
+        m.setattr(pruned_dijkstra, "_load_kernel", lambda: None)
+        return PrunedDijkstra(graph, order)
+
+
+class TestKernelBounds:
+    """Malformed labels end in a GraphError naming the entry, never in a
+    read outside the scratch arrays; the scratch is reset either way."""
+
+    PLAIN = [(0, 0.0), (1, 1.0), (2, 3.0), (3, 6.0)]
+
+    @pytest.mark.parametrize("hub", [4, -1])
+    @pytest.mark.parametrize("vertex", [0, 2])
+    def test_hub_rank_out_of_range(self, kernel, path_graph, hub, vertex):
+        engine = make_engine(path_graph, [0, 1, 2, 3])
+        assert engine._kernel is not None
+        store = LabelStore(4)
+        store.add(vertex, 1, 1.0)
+        store.add(vertex, hub, 1.0)
+        with pytest.raises(GraphError, match=f"vertex {vertex}: hub {hub} ") as err:
+            engine.run(0, store)
+        assert (err.value.vertex, err.value.hub) == (vertex, hub)
+        assert engine.run(0, LabelStore(4)) == self.PLAIN
+
+    def test_distance_not_a_number(self, kernel, path_graph):
+        engine = make_engine(path_graph, [0, 1, 2, 3])
+        store = LabelStore(4)
+        store.add(1, 0, "far")
+        with pytest.raises(GraphError, match="vertex 1: hub 0 .*'far'"):
+            engine.run(0, store)
+        assert engine.run(0, LabelStore(4)) == self.PLAIN
+
+    def test_int_distances_accepted(self, kernel, monkeypatch, path_graph):
+        order = [1, 0, 2, 3]
+        store = LabelStore(4)
+        for v, d in [(0, 1), (1, 0), (2, 2), (3, 5)]:
+            store.add(v, 0, d)
+        reference = reference_engine(monkeypatch, path_graph, order)
+        assert make_engine(path_graph, order).run(0, store) == reference.run(
+            0, store
+        )
+
+    def test_dists_one_entry_ahead(self, kernel, monkeypatch, path_graph):
+        """The lock-free writer appends the distance first, so a reader
+        can see one more distance than hubs; both paths scan only the
+        common prefix, as ``zip`` does, and count the hubs."""
+        order = [1, 0, 2, 3]
+        kernel_engine = make_engine(path_graph, order)
+        reference = reference_engine(monkeypatch, path_graph, order)
+        store = LabelStore(4)
+        kernel_engine.commit(1, kernel_engine.run(1, store), store)
+        for v in range(4):
+            store.live_lists()[1][v].append(0.0)
+        for engine in (kernel_engine, reference):
+            stats = SearchStats()
+            assert engine.run(0, store, stats) == [(0, 0.0)]
+            assert (stats.pruned, stats.query_entries_scanned) == (1, 2)
+
+    def test_store_smaller_than_graph(self, kernel, path_graph):
+        with pytest.raises(GraphError, match="label store holds 3 vertices"):
+            make_engine(path_graph).run(0, LabelStore(3))
+
+    def test_frozen_store_runs_python_loop(self, kernel, path_graph):
+        engine = make_engine(path_graph, [1, 0, 2, 3])
+        store = LabelStore(4)
+        engine.commit(1, engine.run(1, store), store)
+        frozen = LabelStore.from_arrays(**store.to_arrays())
+        assert frozen.live_lists() is None
+        assert engine.run(0, frozen) == engine.run(0, store) == [(0, 0.0)]
+
+
+class TestKernelBuild:
+    def test_source_ships_as_package_data(self):
+        source = importlib.resources.files("repro.core").joinpath(
+            "pruned_dijkstra.c"
+        )
+        assert source.is_file()
+        assert b"pd_run" in source.read_bytes()
+
+    def test_compiles_into_cache_keyed_by_source(self, monkeypatch, tmp_path):
+        if shutil.which(pruned_dijkstra.COMPILER) is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(pruned_dijkstra, "_kernel", pruned_dijkstra._UNTRIED)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert pruned_dijkstra._load_kernel() is not None
+        source = importlib.resources.files("repro.core").joinpath(
+            "pruned_dijkstra.c"
+        )
+        key = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        assert os.listdir(tmp_path / "parapll") == [
+            f"pruned_dijkstra-{key}{suffix}"
+        ]
+
+    def test_missing_compiler_falls_back_once(
+        self, monkeypatch, tmp_path, caplog, random_graph
+    ):
+        """No compiler and an empty cache: one warning per process, and
+        the Python loop builds the same labels as the default build."""
+        expected, _ = build_serial(random_graph)
+        monkeypatch.setattr(pruned_dijkstra, "_kernel", pruned_dijkstra._UNTRIED)
+        monkeypatch.setattr(
+            pruned_dijkstra, "COMPILER", str(tmp_path / "no-such-cc")
+        )
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        with caplog.at_level(logging.WARNING, logger=pruned_dijkstra.__name__):
+            stores = [build_serial(random_graph)[0] for _ in range(2)]
+        warnings = [
+            r for r in caplog.records
+            if r.name == pruned_dijkstra.__name__ and r.levelno == logging.WARNING
+        ]
+        assert len(warnings) == 1
+        assert "using the Python loop" in warnings[0].getMessage()
+        expected.finalize()
+        for store in stores:
+            store.finalize()
+            for name, array in store.to_arrays().items():
+                np.testing.assert_array_equal(array, expected.to_arrays()[name])
