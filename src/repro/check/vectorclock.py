@@ -190,11 +190,11 @@ class VCTrackedLock:
 class SanitizedLabelStore:
     """Write-tracking proxy around a :class:`~repro.core.labels.LabelStore`.
 
-    Mutations (``add`` / ``add_delta`` / ``merge_from``) record a
-    tracked write; reads delegate straight to the inner store (bound as
-    instance attributes so the hot pruning path pays no ``__getattr__``
-    dispatch).  Use :func:`repro.check.hooks.unwrap_store` before the
-    single-threaded finalize phase.
+    Every method the store lists in ``MUTATORS`` records a tracked write
+    and then runs; reads delegate straight to the inner store (the hot
+    ones bound as instance attributes so the pruning path pays no
+    ``__getattr__`` dispatch).  Use :func:`repro.check.hooks.unwrap_store`
+    before the single-threaded finalize phase.
     """
 
     _ids = itertools.count(1)
@@ -208,22 +208,22 @@ class SanitizedLabelStore:
         self.dists_of = inner.dists_of
         self.entries_of = inner.entries_of
         self.label_size = inner.label_size
+        for name in type(inner).MUTATORS:
+            setattr(self, name, self._tracked(getattr(inner, name)))
+
+    def _tracked(self, mutator: Any) -> Any:
+        record = self._sanitizer.record_access
+        location = self._location
+
+        def tracked(*args: Any, **kwargs: Any) -> Any:
+            record(location, write=True)
+            return mutator(*args, **kwargs)
+
+        return tracked
 
     @property
     def n(self) -> int:
         return self._san_inner.n
-
-    def add(self, v: int, hub_rank: int, dist: float) -> None:
-        self._sanitizer.record_access(self._location, write=True)
-        self._san_inner.add(v, hub_rank, dist)
-
-    def add_delta(self, delta: Any) -> int:
-        self._sanitizer.record_access(self._location, write=True)
-        return self._san_inner.add_delta(delta)
-
-    def merge_from(self, other: Any) -> int:
-        self._sanitizer.record_access(self._location, write=True)
-        return self._san_inner.merge_from(other)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._san_inner, name)

@@ -8,27 +8,40 @@ sort order for the merge-join query.
 
 Two layouts, one per lifecycle phase:
 
-* **Mutable phase** — two parallel Python lists per vertex
-  (``_hubs[v]``, ``_dists[v]``).  Plain lists beat numpy here: entries
-  arrive one at a time from a pure-Python search loop, and the pruning
-  query iterates a few dozen entries per probe — exactly the regime
-  where native lists win (see the HPC optimisation guide on scalar
-  numpy overhead).
+* **Mutable phase** — one label *arena* shared by every vertex:
+  ``ah: int32[A]`` hub ranks and ``ad: float64[A]`` distances.  Vertex
+  ``v`` owns the run ``[off[v], off[v] + size[v])`` and has room for
+  ``cap[v]`` entries there.  A full run moves to the arena's end with
+  twice the capacity; a full arena compacts into fresh arrays, which
+  drops the runs left behind by moves.  The compiled pruning kernel
+  scans the runs as plain arrays (:meth:`arena`), the Python readers
+  (:meth:`hubs_of` / :meth:`dists_of`) get list copies of a run, and
+  every append is a vectorised numpy write, so the arena is the only
+  copy of the labels.
 * **Finalized phase** — one flat CSR triple (``indptr: int64[n+1]``,
   ``hubs: int64[E]``, ``dists: float64[E]``), built once by
-  :meth:`finalize`.  :meth:`finalized_hubs` / :meth:`finalized_dists`
-  are zero-copy slices into the flat arrays, :meth:`to_arrays` is a
-  near-no-op, and :meth:`from_arrays` *adopts* arrays directly (no
-  Python-list round-trip), which is what makes :meth:`PLLIndex.load
-  <repro.core.index.PLLIndex.load>` O(1) instead of O(E).
+  :meth:`finalize`, which then drops the arena.
+  :meth:`finalized_hubs` / :meth:`finalized_dists` are zero-copy slices
+  into the flat arrays, :meth:`to_arrays` is a near-no-op, and
+  :meth:`from_arrays` *adopts* arrays directly (no re-sort), which is
+  what makes :meth:`PLLIndex.load <repro.core.index.PLLIndex.load>`
+  O(1) instead of O(E).
 
-A store built by :meth:`from_arrays` is *frozen*: it has no mutable
-lists until the first mutation, which thaws it (one O(E) expansion).
-Read accessors work directly off the CSR arrays while frozen.
+A finalized store, and one built by :meth:`from_arrays`, is *frozen*:
+it has no arena until the first mutation, which thaws it (one
+vectorised O(E) copy).  Read accessors work directly off the CSR arrays
+while frozen.
+
+Concurrent readers need no lock; writers are serialised by the caller.
+A writer stores the entries first, then publishes ``off``, then
+``size``, and a compaction swaps all the arena arrays as one tuple.  A
+reader that takes the tuple once and reads ``size[v]`` before
+``off[v]`` therefore sees only whole, published entries.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,39 +50,60 @@ from repro.errors import GraphError, NotIndexedError
 
 __all__ = ["LabelStore"]
 
+#: Capacity of a vertex's run at its first append.
+_RUN_MIN = 4
+#: Smallest arena, in entries.
+_ARENA_MIN = 1024
+_INT32 = np.iinfo(np.int32)
+
+#: ``(off, size, ah, ad, cap)``: see :meth:`LabelStore.arena`.
+Arena = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + k) for s, k in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
+def _gather(arena: Arena) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every published run of *arena*, concatenated in vertex order:
+    ``(sizes, hubs: int32, dists: float64)``."""
+    off, size, ah, ad, _cap = arena
+    # size before off, as every reader reads them.
+    sizes = size.copy()
+    idx = _ranges(off.copy(), sizes)
+    return sizes, ah[idx], ad[idx]
+
 
 def _sort_dedup_flat(
-    n: int,
-    hub_lists: Sequence[Sequence[int]],
-    dist_lists: Sequence[Sequence[float]],
+    n: int, arena: Arena
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-vertex label lists into a sorted, deduplicated CSR triple."""
-    sizes = np.fromiter((len(h) for h in hub_lists), dtype=np.int64, count=n)
-    # The flat arrays go to the sort as temporaries, bound to no name
-    # here, so it can free each one once it holds a sorted copy.
+    """The arena's published runs as a sorted, deduplicated CSR triple.
+
+    A serial build commits hubs in rank order, so every run is usually
+    strictly increasing already: one comparison over the gathered runs
+    shows it, and the runs are then the CSR arrays as they stand.  Any
+    other store (parallel builds, :meth:`LabelStore.merge_from`) goes
+    through :func:`_sort_dedup_entries`.
+    """
+    sizes, hubs, dists = _gather(arena)
+    step = np.empty(len(hubs), dtype=bool)
+    if len(hubs):
+        np.greater(hubs[1:], hubs[:-1], out=step[1:])
+        starts = np.cumsum(sizes) - sizes
+        step[starts[sizes > 0]] = True
+    if step.all():
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        return indptr, hubs.astype(np.int64), dists
     return _sort_dedup_entries(
         n,
         np.repeat(np.arange(n, dtype=np.int64), sizes),
-        _flatten(hub_lists, sizes, np.int64),
-        _flatten(dist_lists, sizes, np.float64),
+        hubs.astype(np.int64),
+        dists,
     )
-
-
-def _flatten(
-    lists: Sequence[Sequence[float]], sizes: np.ndarray, dtype: type
-) -> np.ndarray:
-    """The first ``sizes[v]`` entries of every ``lists[v]``, concatenated."""
-    out = np.empty(int(sizes.sum()), dtype=dtype)
-    pos = 0
-    for v, k in enumerate(sizes.tolist()):
-        if k:
-            # The lock-free writer appends the distance before the hub,
-            # so either list may momentarily run one entry long relative
-            # to the committed length captured in ``sizes``; the first k
-            # entries of both are the committed ones.
-            out[pos:pos + k] = lists[v][:k]
-            pos += k
-    return out
 
 
 def _sort_dedup_entries(
@@ -148,68 +182,212 @@ def _validate_csr(
         raise GraphError(f"label hubs of vertex {v} are {kind}")
 
 
+def _entry_fault(n: int, v: object, h: object, d: object) -> Optional[str]:
+    """Why ``(v, h, d)`` cannot be a label entry of an *n*-vertex store,
+    or None."""
+    if not (isinstance(v, numbers.Integral) and 0 <= v < n):
+        return f"vertex is not an integer in [0, {n})"
+    if not (isinstance(h, numbers.Integral) and _INT32.min <= h <= _INT32.max):
+        return "hub rank is not an int32 integer"
+    if not isinstance(d, numbers.Real) or d != d:
+        return "distance is not a number"
+    return None
+
+
+def _bad_entry(v: object, h: object, d: object, why: str) -> GraphError:
+    return GraphError(
+        f"label entry (vertex {v!r}, hub {h!r}, distance {d!r}): {why}",
+        vertex=v, hub=h,
+    )
+
+
 class LabelStore:
-    """Mutable per-vertex label lists, keyed by hub rank.
+    """Per-vertex labels keyed by hub rank.
 
     Args:
         n: number of vertices.
 
     The store starts empty (the paper's ``L_0``).  Builders append with
-    :meth:`add` or :meth:`add_delta`; the pruning query reads through
-    :meth:`hubs_of` / :meth:`dists_of`; :meth:`finalize` freezes the
-    store into the flat CSR form.
+    :meth:`add`, :meth:`add_delta`, :meth:`add_root` or
+    :meth:`extend_from_arrays`; the pruning query reads through
+    :meth:`arena` or :meth:`hubs_of` / :meth:`dists_of`;
+    :meth:`finalize` freezes the store into the flat CSR form.
     """
 
     __slots__ = (
         "n",
-        "_hubs",
-        "_dists",
+        "_arena",
+        "_end",
         "_finalized_indptr",
         "_finalized_hubs",
         "_finalized_dists",
     )
 
+    #: The public methods that change the labels.  The race detector's
+    #: write-tracking proxy records a write for each of them.
+    MUTATORS = ("add", "add_delta", "add_root", "extend_from_arrays", "merge_from")
+
     def __init__(self, n: int) -> None:
         if n < 0:
             raise GraphError("label store size must be non-negative")
         self.n = n
-        self._hubs: Optional[List[List[int]]] = [[] for _ in range(n)]
-        self._dists: Optional[List[List[float]]] = [[] for _ in range(n)]
+        runs = np.zeros(n, dtype=np.int64)
+        self._arena: Optional[Arena] = (
+            runs,
+            runs.copy(),
+            np.empty(_ARENA_MIN, dtype=np.int32),
+            np.empty(_ARENA_MIN, dtype=np.float64),
+            runs.copy(),
+        )
+        #: First arena slot that no run owns.
+        self._end = 0
         self._finalized_indptr: Optional[np.ndarray] = None
         self._finalized_hubs: Optional[np.ndarray] = None
         self._finalized_dists: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Frozen-store support
+    # Arena management
     # ------------------------------------------------------------------
-    @property
-    def _frozen(self) -> bool:
-        """True for an adopted store with no mutable lists yet."""
-        return self._hubs is None
-
     def _thaw(self) -> None:
-        """Materialise the mutable lists from the CSR arrays (once)."""
-        if self._hubs is not None:
-            return
-        assert self._finalized_indptr is not None
-        assert self._finalized_hubs is not None
-        assert self._finalized_dists is not None
+        """Rebuild the arena from the CSR arrays; the store then owns
+        the labels in the arena only."""
         indptr = self._finalized_indptr
-        hubs = self._finalized_hubs
-        dists = self._finalized_dists
-        self._hubs = [
-            hubs[int(indptr[v]):int(indptr[v + 1])].tolist()
-            for v in range(self.n)
-        ]
-        self._dists = [
-            dists[int(indptr[v]):int(indptr[v + 1])].tolist()
-            for v in range(self.n)
-        ]
+        size = np.diff(indptr)
+        hubs = np.array(self._finalized_hubs, dtype=np.int32)
+        self._arena = (
+            np.array(indptr[:-1], dtype=np.int64),
+            size,
+            hubs,
+            np.array(self._finalized_dists, dtype=np.float64),
+            size.copy(),
+        )
+        self._end = len(hubs)
+        self._invalidate()
 
     def _invalidate(self) -> None:
         self._finalized_indptr = None
         self._finalized_hubs = None
         self._finalized_dists = None
+
+    def _reserve(self, verts: np.ndarray, need: np.ndarray) -> None:
+        """Give each run of *verts* room for *need* entries: move it to
+        the arena's end with at least twice its capacity, or compact
+        when the arena has no room left."""
+        off, size, ah, ad, cap = self._arena
+        new_cap = np.maximum(np.maximum(2 * cap[verts], need), _RUN_MIN)
+        total = int(new_cap.sum())
+        if self._end + total > len(ah):
+            self._compact(verts, new_cap)
+            return
+        starts = self._end + np.cumsum(new_cap) - new_cap
+        have = size[verts]
+        src = _ranges(off[verts], have)
+        dst = _ranges(starts, have)
+        ah[dst] = ah[src]
+        ad[dst] = ad[src]
+        off[verts] = starts
+        cap[verts] = new_cap
+        self._end += total
+
+    def _compact(self, verts: np.ndarray, new_cap: np.ndarray) -> None:
+        """Copy every run into fresh arrays, back to back, with *verts*
+        at capacity *new_cap*, and swap them in as one tuple."""
+        off, size, ah, ad, cap = self._arena
+        cap = cap.copy()
+        cap[verts] = new_cap
+        live = int(cap.sum())
+        length = max(2 * live, _ARENA_MIN)
+        new_off = np.cumsum(cap) - cap
+        have = size.copy()
+        src = _ranges(off, have)
+        dst = _ranges(new_off, have)
+        new_ah = np.empty(length, dtype=np.int32)
+        new_ad = np.empty(length, dtype=np.float64)
+        new_ah[dst] = ah[src]
+        new_ad[dst] = ad[src]
+        self._arena = (new_off, have, new_ah, new_ad, cap)
+        self._end = live
+
+    def _append(
+        self,
+        verts: np.ndarray,
+        hubs: object,
+        dists: np.ndarray,
+        distinct: bool,
+    ) -> int:
+        """Append entries ``(verts[i], hubs[i], dists[i])``, each vertex's
+        in the given order.  *hubs* may be one rank for all; *distinct*
+        says no vertex repeats.  The caller has checked the values."""
+        k = len(verts)
+        if not k:
+            return 0
+        if self._arena is None:
+            self._thaw()
+        if distinct:
+            uniq, counts = verts, 1
+        else:
+            order = np.argsort(verts, kind="stable")
+            verts = verts[order]
+            if isinstance(hubs, np.ndarray):
+                hubs = hubs[order]
+            dists = dists[order]
+            uniq, first, counts = np.unique(
+                verts, return_index=True, return_counts=True
+            )
+        off, size, ah, ad, cap = self._arena
+        have = size[uniq]
+        need = have + counts
+        full = need > cap[uniq]
+        if full.any():
+            self._reserve(uniq[full], need[full])
+            off, size, ah, ad, cap = self._arena
+        pos = off[uniq] + have
+        if not distinct:
+            pos = np.repeat(pos - first, counts) + np.arange(k)
+        ah[pos] = hubs
+        ad[pos] = dists
+        size[uniq] = need
+        self._invalidate()
+        return k
+
+    def _checked(
+        self, verts: object, hub_ranks: object, dists: object
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Parallel entry sequences as int64/int64/float64 arrays.
+
+        Raises:
+            GraphError: naming the first entry whose vertex is outside
+                ``[0, n)``, whose hub rank is not an int32 integer, or
+                whose distance is not a number.
+        """
+        vs = np.asarray(verts)
+        hs = np.asarray(hub_ranks)
+        ds = np.asarray(dists)
+        if not (vs.ndim == hs.ndim == ds.ndim == 1 and len(vs) == len(hs) == len(ds)):
+            raise GraphError("verts, hub_ranks and dists must be equal-length 1-D")
+        ok = (
+            vs.dtype.kind in "iu" and hs.dtype.kind in "iu"
+            and ds.dtype.kind in "iuf"
+        )
+        if ok:
+            vs = vs.astype(np.int64, copy=False)
+            hs = hs.astype(np.int64, copy=False)
+            ds = ds.astype(np.float64, copy=False)
+            ok = not (
+                (vs < 0) | (vs >= self.n)
+                | (hs < _INT32.min) | (hs > _INT32.max)
+                | np.isnan(ds)
+            ).any()
+        if not ok and len(vs):
+            for v, h, d in zip(verts, hub_ranks, dists):
+                why = _entry_fault(self.n, v, h, d)
+                if why is not None:
+                    raise _bad_entry(v, h, d, why)
+            raise GraphError(
+                f"label entries need integer vertices and hub ranks and "
+                f"numeric distances, not {vs.dtype}/{hs.dtype}/{ds.dtype}"
+            )
+        return vs, hs, ds
 
     # ------------------------------------------------------------------
     # Mutation
@@ -217,16 +395,27 @@ class LabelStore:
     def add(self, v: int, hub_rank: int, dist: float) -> None:
         """Append one label entry ``(hub_rank, dist)`` to ``L(v)``.
 
-        The distance is appended *before* the hub: concurrent lock-free
-        readers (the pruning loop in other threads) capture
-        ``len(hubs_of(v))`` first, so writing dists first guarantees any
-        visible hub has its distance in place (CPython list appends are
-        atomic under the GIL).
+        Raises:
+            GraphError: for a vertex outside ``[0, n)``, a hub rank that
+                is not an int32 integer, or a distance that is not a
+                number.
         """
-        if self._hubs is None:
+        why = _entry_fault(self.n, v, hub_rank, dist)
+        if why is not None:
+            raise _bad_entry(v, hub_rank, dist, why)
+        # The one-entry form of _append, in scalars: the dynamic index,
+        # the directed builder and the sync merges call it per entry.
+        if self._arena is None:
             self._thaw()
-        self._dists[v].append(dist)
-        self._hubs[v].append(hub_rank)
+        off, size, ah, ad, cap = self._arena
+        k = int(size[v])
+        if k == cap[v]:
+            self._reserve(np.array([v]), np.array([k + 1]))
+            off, size, ah, ad, cap = self._arena
+        p = int(off[v]) + k
+        ah[p] = hub_rank
+        ad[p] = dist
+        size[v] = k + 1
         self._invalidate()
 
     def add_delta(self, delta: Iterable[Tuple[int, int, float]]) -> int:
@@ -235,18 +424,28 @@ class LabelStore:
         Duplicate (v, hub) pairs are tolerated (they arise from delayed
         synchronisation); queries take a min so duplicates are harmless,
         and :meth:`finalize` deduplicates keeping the smallest distance.
+        Raises :class:`GraphError` as :meth:`add` does.
         """
-        if self._hubs is None:
-            self._thaw()
-        hubs, dists = self._hubs, self._dists
-        count = 0
-        for v, h, d in delta:
-            dists[v].append(d)
-            hubs[v].append(h)
-            count += 1
-        if count:
-            self._invalidate()
-        return count
+        triples = list(delta)
+        if not triples:
+            return 0
+        return self._append(*self._checked(*zip(*triples)), distinct=False)
+
+    def add_root(
+        self, hub_rank: int, verts: Sequence[int], dists: Sequence[float]
+    ) -> int:
+        """Append one root's delta: ``(hub_rank, dists[i])`` to
+        ``L(verts[i])``.  The vertices must be distinct and in
+        ``[0, n)``, as in a delta from
+        :meth:`~repro.core.pruned_dijkstra.PrunedDijkstra.run`, and
+        *hub_rank* an int32 integer; they are not checked again.
+        Returns the number of entries appended."""
+        return self._append(
+            np.asarray(verts, dtype=np.int64),
+            hub_rank,
+            np.asarray(dists, dtype=np.float64),
+            distinct=True,
+        )
 
     def extend_from_arrays(
         self,
@@ -262,79 +461,73 @@ class LabelStore:
         Duplicate (v, hub) pairs are tolerated exactly as in
         :meth:`add_delta`.  Returns the number of entries appended.
         """
-        if self._hubs is None:
-            self._thaw()
-        hubs_l, dists_l = self._hubs, self._dists
-        # One bulk conversion to native ints/floats instead of one
-        # int()/float() call per numpy scalar.
-        vs = np.asarray(verts, dtype=np.int64).tolist()
-        hs = np.asarray(hub_ranks, dtype=np.int64).tolist()
-        ds = np.asarray(dists, dtype=np.float64).tolist()
-        for v, h, d in zip(vs, hs, ds):
-            dists_l[v].append(d)
-            hubs_l[v].append(h)
-        if vs:
-            self._invalidate()
-        return len(vs)
+        return self._append(
+            *self._checked(verts, hub_ranks, dists), distinct=False
+        )
 
     # ------------------------------------------------------------------
     # Read access (pruning path)
     # ------------------------------------------------------------------
-    def hubs_of(self, v: int) -> Sequence[int]:
-        """Hub ranks of ``L(v)`` (live list — do not mutate).
+    def arena(self) -> Optional[Arena]:
+        """The mutable phase's arrays ``(off, size, ah, ad, cap)`` (do
+        not mutate), or None for a frozen store.
 
-        On a frozen (loaded) store this is a zero-copy CSR slice.
+        ``L(v)`` is ``ah[off[v]:off[v] + size[v]]`` (int32 hub ranks)
+        with ``ad`` (float64 distances) alongside; ``cap`` is the
+        writer's.  Take the tuple once per read, read ``size[v]``
+        before ``off[v]``, and only published entries are visible.  The
+        compiled pruning kernel reads these arrays in place.
         """
-        if self._hubs is not None:
-            return self._hubs[v]
-        return self.finalized_hubs(v)
+        return self._arena
+
+    def _run(self, v: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        arena = self._arena
+        if arena is None:
+            return None
+        k = arena[1].item(v)
+        o = arena[0].item(v)
+        return arena[2][o:o + k], arena[3][o:o + k]
+
+    def hubs_of(self, v: int) -> Sequence[int]:
+        """Hub ranks of ``L(v)``: a list copy of the run, or on a frozen
+        store a zero-copy CSR slice."""
+        run = self._run(v)
+        if run is None:
+            return self.finalized_hubs(v)
+        return run[0].tolist()
 
     def dists_of(self, v: int) -> Sequence[float]:
         """Distances of ``L(v)``, parallel to :meth:`hubs_of`."""
-        if self._dists is not None:
-            return self._dists[v]
-        return self.finalized_dists(v)
-
-    def live_lists(self) -> Optional[Tuple[List[List[int]], List[List[float]]]]:
-        """The mutable per-vertex ``(hubs, dists)`` lists themselves
-        (do not mutate), or None for a frozen store.
-
-        The compiled pruning kernel reads them in place, so the lists
-        stay the store's only copy of the labels.
-        """
-        if self._hubs is None:
-            return None
-        return self._hubs, self._dists
+        run = self._run(v)
+        if run is None:
+            return self.finalized_dists(v)
+        return run[1].tolist()
 
     def entries_of(self, v: int) -> List[Tuple[int, float]]:
         """``(hub_rank, dist)`` pairs of ``L(v)`` (copied)."""
-        if self._hubs is not None:
-            return list(zip(self._hubs[v], self._dists[v]))
-        return list(
-            zip(
-                self.finalized_hubs(v).tolist(),
-                self.finalized_dists(v).tolist(),
-            )
-        )
+        run = self._run(v)
+        if run is None:
+            run = self.finalized_hubs(v), self.finalized_dists(v)
+        return list(zip(run[0].tolist(), run[1].tolist()))
 
     def label_size(self, v: int) -> int:
         """Number of entries in ``L(v)``."""
-        if self._hubs is not None:
-            return len(self._hubs[v])
+        if self._arena is not None:
+            return int(self._arena[1][v])
         indptr = self._finalized_indptr
         return int(indptr[v + 1] - indptr[v])
 
     def label_sizes(self) -> List[int]:
         """Per-vertex label sizes."""
-        if self._hubs is not None:
-            return [len(h) for h in self._hubs]
+        if self._arena is not None:
+            return self._arena[1].tolist()
         return np.diff(self._finalized_indptr).tolist()
 
     @property
     def total_entries(self) -> int:
         """Total entries across all vertices."""
-        if self._hubs is not None:
-            return sum(len(h) for h in self._hubs)
+        if self._arena is not None:
+            return int(self._arena[1].sum())
         return len(self._finalized_hubs)
 
     @property
@@ -353,14 +546,17 @@ class LabelStore:
         Duplicated hubs (from delayed synchronisation) keep the smallest
         distance — which by construction is the true distance, since any
         stored distance for the same (hub, v) pair is produced by an
-        exact Dijkstra from the hub.
+        exact Dijkstra from the hub.  The arena is dropped: the CSR
+        arrays are the only copy of the labels until the next mutation.
         """
-        if self._finalized_hubs is not None:
+        if self._arena is None:
             return
-        indptr, hubs, dists = _sort_dedup_flat(self.n, self._hubs, self._dists)
+        indptr, hubs, dists = _sort_dedup_flat(self.n, self._arena)
         self._finalized_indptr = indptr
         self._finalized_hubs = hubs
         self._finalized_dists = dists
+        self._arena = None
+        self._end = 0
 
     def finalized_hubs(self, v: int) -> np.ndarray:
         """Sorted, deduplicated hub ranks of ``L(v)``: a zero-copy slice
@@ -427,37 +623,49 @@ class LabelStore:
     # Merging / copying (cluster substrate)
     # ------------------------------------------------------------------
     def copy(self) -> "LabelStore":
-        """Deep copy of the mutable label lists."""
-        if self._hubs is None:
-            self._thaw()
-        other = LabelStore(self.n)
-        other._hubs = [list(h) for h in self._hubs]
-        other._dists = [list(d) for d in self._dists]
+        """A deep copy: later mutations of either store do not show in
+        the other."""
+        if self._arena is None:
+            return LabelStore.from_arrays(
+                *(np.array(a) for a in self.finalized_arrays()), validate=False
+            )
+        other = LabelStore.__new__(LabelStore)
+        other.n = self.n
+        other._arena = tuple(a.copy() for a in self._arena)
+        other._end = self._end
+        other._invalidate()
         return other
+
+    def _flat_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry as flat ``(owner, hub, dist)`` arrays, vertex by
+        vertex, each label in its stored order."""
+        if self._arena is None:
+            indptr, hubs, dists = self.finalized_arrays()
+            sizes = np.diff(indptr)
+        else:
+            sizes, hubs, dists = _gather(self._arena)
+        return np.repeat(np.arange(self.n, dtype=np.int64), sizes), hubs, dists
 
     def merge_from(self, other: "LabelStore") -> int:
         """Union *other*'s entries into this store; returns entries added.
 
         Exact-duplicate (v, hub) pairs already present are skipped so that
-        repeated synchronisation rounds don't inflate the store.
+        repeated synchronisation rounds don't inflate the store; of a
+        pair *other* holds twice, its first entry is taken.
         """
         if other.n != self.n:
             raise GraphError("cannot merge label stores of different sizes")
-        if self._hubs is None:
-            self._thaw()
-        added = 0
-        for v in range(self.n):
-            have = set(self._hubs[v])
-            entries = other.entries_of(v)
-            for h, d in entries:
-                if h not in have:
-                    self._hubs[v].append(h)
-                    self._dists[v].append(d)
-                    have.add(h)
-                    added += 1
-        if added:
-            self._invalidate()
-        return added
+        owner, hubs, dists = other._flat_entries()
+        if not len(owner):
+            return 0
+        mine_owner, mine_hubs, _ = self._flat_entries()
+        # One int64 key per (vertex, hub) pair; hub ranks fit in int32.
+        key = (owner << 32) | (hubs.astype(np.int64) & 0xFFFFFFFF)
+        mine = (mine_owner << 32) | (mine_hubs.astype(np.int64) & 0xFFFFFFFF)
+        keep = np.zeros(len(key), dtype=bool)
+        keep[np.unique(key, return_index=True)[1]] = True
+        keep &= ~np.isin(key, mine)
+        return self._append(owner[keep], hubs[keep], dists[keep], distinct=False)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -484,7 +692,7 @@ class LabelStore:
         """Adopt a CSR triple produced by :meth:`to_arrays` — zero-copy.
 
         The arrays become the finalized representation directly (no
-        Python-list round-trip, no re-sort, no re-dedup); the returned
+        arena, no re-sort, no re-dedup); the returned
         store is frozen until the first mutation thaws it.  Memory-mapped
         arrays are adopted as-is, so a loaded index can serve queries
         without materialising the labels in RAM.
@@ -517,8 +725,8 @@ class LabelStore:
             _validate_csr(indptr, hubs, dists)
         store = cls.__new__(cls)
         store.n = len(indptr) - 1
-        store._hubs = None
-        store._dists = None
+        store._arena = None
+        store._end = 0
         store._finalized_indptr = indptr
         store._finalized_hubs = hubs
         store._finalized_dists = dists
@@ -535,9 +743,8 @@ class LabelStore:
         """A finalized store from flat parallel entry arrays, in any
         order, with the same sort and dedup as :meth:`finalize`.
 
-        Builds the CSR triple straight from the arrays, with no
-        per-vertex Python lists; the returned store is frozen like one
-        from :meth:`from_arrays`.
+        Builds the CSR triple straight from the arrays, with no arena;
+        the returned store is frozen like one from :meth:`from_arrays`.
         """
         return cls.from_arrays(
             *_sort_dedup_entries(

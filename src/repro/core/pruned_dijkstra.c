@@ -1,12 +1,14 @@
 /* One root's pruned Dijkstra (Algorithm 1), compiled.  The Python loop in
  * pruned_dijkstra.py stays the reference: the same lazy-deletion heap in
  * (dist, vertex) order, tmp-array pruning query, delta and six counters.
- * It reads the label store's live per-vertex Python lists, so it is called
- * through ctypes.PyDLL and holds the GIL for the whole search.  The caller
- * validates every array and owns all memory; nothing here allocates. */
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+ * It scans the label store's arena (labels.py): vertex v's label is
+ * ah[off[v]:off[v] + size[v]] (int32 hub ranks) with ad alongside (float64
+ * distances).  It is called through ctypes.PyDLL, which keeps the GIL for
+ * the whole search.  The caller validates every array and owns all memory;
+ * nothing here allocates. */
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct { double d; int64_t v; } item;
 
@@ -40,50 +42,45 @@ static item pop(item *heap, int64_t *len)
     return top;
 }
 
-/* Entry i of L(v) into (*h, *d).  Returns 0, or -1 when the hub rank is
- * not an integer in [0, n) or the distance is not a number. */
-static int entry(PyObject *hl, PyObject *dl, Py_ssize_t i, int64_t n,
-                 int64_t *h, double *d)
+/* The published run of L(v) as [*o, *o + *m).  A writer stores entries,
+ * then off, then size, so size is read first.  Returns -1 when the run
+ * does not lie inside the arena's na slots. */
+static int run(const int64_t *off, const int64_t *size, int64_t na, int64_t v,
+               int64_t *o, int64_t *m)
 {
-    PyObject *o = PyList_GET_ITEM(dl, i);
-    if ((*h = PyLong_AsLongLong(PyList_GET_ITEM(hl, i))) == -1 && PyErr_Occurred())
-        goto err;
-    *d = PyFloat_CheckExact(o) ? PyFloat_AS_DOUBLE(o) : PyFloat_AsDouble(o);
-    if (*d == -1.0 && PyErr_Occurred())
-        goto err;
-    return *h >= 0 && *h < n ? 0 : -1;
-err:
-    PyErr_Clear();
-    return -1;
+    *m = __atomic_load_n(&size[v], __ATOMIC_ACQUIRE);
+    *o = __atomic_load_n(&off[v], __ATOMIC_ACQUIRE);
+    return *o >= 0 && *m >= 0 && *m <= na - *o ? 0 : -1;
 }
 
-/* Pruned search from root.  hubs and dists are the store's outer lists
- * (at least n long); dist and tmp hold n infinities and are left so;
- * touched, out_v and out_d hold n items, heap len(indices) + 1.
- * Returns the delta's length, with the delta in out_v/out_d and the
- * counters in cnt[0..5]; or -1 for a bad entry, naming it as
- * cnt[0] = vertex, cnt[1] = position in L(vertex) (-1: not lists). */
-int64_t pd_run(PyObject *hubs, PyObject *dists, int64_t n,
+/* Pruned search from root over the arena (off, size: n items; ah, ad: na
+ * items).  dist and tmp hold n infinities and are left so; touched, out_v
+ * and out_d hold n items, heap len(indices) + 1.  Returns the delta's
+ * length, with the delta in out_v/out_d and the counters in cnt[0..5]; or
+ * -1 for a bad label, naming it as cnt[0] = vertex, cnt[1] = position in
+ * L(vertex) of a hub rank outside [0, n), or -1 for a run outside the
+ * arena. */
+int64_t pd_run(int64_t n, const int64_t *off, const int64_t *size,
+               const int32_t *ah, const double *ad, int64_t na,
                const int64_t *indptr, const int32_t *indices,
                const double *weights, int64_t root, int64_t root_rank,
                double *dist, double *tmp, int64_t *touched, item *heap,
                int64_t *out_v, double *out_d, int64_t *cnt)
 {
-    PyObject *hl = PyList_GET_ITEM(hubs, root), *dl = PyList_GET_ITEM(dists, root);
-    PyObject *root_hubs = hl;
-    Py_ssize_t loaded = 0, i = -1, m;
+    int64_t loaded = 0, i = -1, o, m, root_off = 0;
     int64_t len = 0, nt = 0, k = 0, u = root, h, e;
-    double d, x;
+    double d;
     memset(cnt, 0, 6 * sizeof *cnt);
-    if (!PyList_Check(hl) || !PyList_Check(dl))
+    if (run(off, size, na, root, &o, &m))
         goto bad;
     /* Root side of the pruning query: tmp[hub] = d(hub, root). */
-    m = Py_MIN(PyList_GET_SIZE(hl), PyList_GET_SIZE(dl));
+    root_off = o;
     for (i = 0; i < m; i++, loaded++) {
-        if (entry(hl, dl, i, n, &h, &x))
+        h = ah[o + i];
+        if (h < 0 || h >= n)
             goto bad;
-        if (x < tmp[h])
-            tmp[h] = x;
+        if (ad[o + i] < tmp[h])
+            tmp[h] = ad[o + i];
     }
     if (0.0 < tmp[root_rank])
         tmp[root_rank] = 0.0;
@@ -98,23 +95,19 @@ int64_t pd_run(PyObject *hubs, PyObject *dists, int64_t n,
         if (d > dist[u])
             continue; /* stale lazy-deletion entry */
         cnt[SETTLED]++;
-        hl = PyList_GET_ITEM(hubs, u);
-        dl = PyList_GET_ITEM(dists, u);
         i = -1;
-        if (!PyList_Check(hl) || !PyList_Check(dl))
+        if (run(off, size, na, u, &o, &m))
             goto bad;
-        /* The lock-free writer appends the distance first, so dists may
-         * run one entry ahead: scan the common prefix, as zip does.  The
-         * first entry with tmp[h] + x <= d decides QUERY(root, u) <= d,
-         * so the scan stops there; the counter still counts len(hubs). */
-        m = Py_MIN(PyList_GET_SIZE(hl), PyList_GET_SIZE(dl));
+        /* The first entry with tmp[h] + x <= d decides QUERY(root, u) <= d,
+         * so the scan stops there; the counter still counts the run. */
         for (i = 0; i < m; i++) {
-            if (entry(hl, dl, i, n, &h, &x))
+            h = ah[o + i];
+            if (h < 0 || h >= n)
                 goto bad;
-            if (tmp[h] + x <= d)
+            if (tmp[h] + ad[o + i] <= d)
                 break;
         }
-        cnt[SCANNED] += PyList_GET_SIZE(hl);
+        cnt[SCANNED] += m;
         if (i < m) {
             cnt[PRUNED]++;
             continue;
@@ -125,7 +118,7 @@ int64_t pd_run(PyObject *hubs, PyObject *dists, int64_t n,
             int64_t v = indices[e];
             double nd = d + weights[e];
             if (nd < dist[v]) {
-                if (dist[v] == Py_HUGE_VAL)
+                if (dist[v] == HUGE_VAL)
                     touched[nt++] = v;
                 dist[v] = nd;
                 push(heap, &len, (item){nd, v});
@@ -140,9 +133,9 @@ bad:
     k = -1;
 reset:
     while (nt)
-        dist[touched[--nt]] = Py_HUGE_VAL;
+        dist[touched[--nt]] = HUGE_VAL;
     for (i = 0; i < loaded; i++)
-        tmp[PyLong_AsLongLong(PyList_GET_ITEM(root_hubs, i))] = Py_HUGE_VAL;
-    tmp[root_rank] = Py_HUGE_VAL;
+        tmp[ah[root_off + i]] = HUGE_VAL;
+    tmp[root_rank] = HUGE_VAL;
     return k;
 }

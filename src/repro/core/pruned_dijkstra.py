@@ -18,11 +18,12 @@ labels already explains the tentative distance, the search does not
 label ``u`` and does not expand it.
 
 The search runs in compiled code (``pruned_dijkstra.c``) whenever a C
-compiler could build it, reading the store's live label lists under
-the GIL.  The Python loop (:meth:`PrunedDijkstra._run_python`) is the
-reference it must match entry for entry and counter for counter, and
-the fallback when there is no compiler or the store is frozen.  See
-DESIGN.md section 17.
+compiler could build it, scanning the store's label arena
+(:meth:`LabelStore.arena <repro.core.labels.LabelStore.arena>`) as
+plain arrays under the GIL.  The Python loop
+(:meth:`PrunedDijkstra._run_python`) is the reference it must match
+entry for entry and counter for counter, and the fallback when there is
+no compiler or the store is frozen.  See DESIGN.md section 17.
 """
 
 from __future__ import annotations
@@ -89,38 +90,31 @@ def _cache_dir() -> str:
 def _compile_kernel() -> Callable[..., int]:
     """The kernel's ``pd_run``, compiled into the cache unless there.
 
-    The object links against ``Python.h``, so its name carries the
-    interpreter's ``EXT_SUFFIX`` (the first extension suffix) beside the
-    source hash.  It is written to a per-process file and renamed into
-    place, so a concurrent process never loads half a file.
+    The object's name carries the interpreter's ``EXT_SUFFIX`` (the
+    first extension suffix), which names the platform and ABI, beside
+    the source hash.  It is written to a per-process file and renamed
+    into place, so a concurrent process never loads half a file.
     """
     source = importlib.resources.files("repro.core").joinpath(_SOURCE)
     key = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     path = os.path.join(_cache_dir(), f"pruned_dijkstra-{key}{suffix}")
     if not os.path.exists(path):
-        # Imported here: it costs ~0.2 MB, which processes that only
-        # serve queries, or find the object cached, need not pay.
-        import sysconfig
-
         part = f"{path}.{os.getpid()}.tmp"
         try:
             with importlib.resources.as_file(source) as src:
                 subprocess.run(
-                    [
-                        COMPILER, "-O2", "-shared", "-fPIC",
-                        "-I", sysconfig.get_paths()["include"],
-                        str(src), "-o", part,
-                    ],
+                    [COMPILER, "-O2", "-shared", "-fPIC", str(src), "-o", part],
                     check=True, capture_output=True, text=True, timeout=300,
                 )
             os.replace(part, path)
         finally:
             if os.path.exists(part):
                 os.unlink(part)
+    # PyDLL keeps the GIL for the whole search (DESIGN.md section 17).
     fn = ctypes.PyDLL(path).pd_run
-    obj, i64, ptr = ctypes.py_object, ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [obj, obj, i64, ptr, ptr, ptr, i64, i64] + [ptr] * 7
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64] + [ptr] * 4 + [i64] + [ptr] * 3 + [i64, i64] + [ptr] * 7
     fn.restype = i64
     return fn
 
@@ -172,6 +166,8 @@ class PrunedDijkstra:
         self._adj: Optional[List[List[Tuple[int, float]]]] = None
         self._dist: List[float] = []
         self._tmp: List[float] = []
+        #: The last kernel delta: ``(copy of the list, verts, dists)``.
+        self._last: Optional[Tuple[Delta, np.ndarray, np.ndarray]] = None
         self._kernel = _load_kernel()
         if self._kernel is not None:
             n = graph.num_vertices
@@ -195,8 +191,11 @@ class PrunedDijkstra:
                 self._counts,
             )
             self._arrays = csr + scratch
-            self._csr_args = (n,) + tuple(a.ctypes.data for a in csr)
+            self._csr_args = tuple(a.ctypes.data for a in csr)
             self._scratch_args = tuple(a.ctypes.data for a in scratch)
+            # The store arena last scanned, and its pointers.
+            self._scanned: Any = None
+            self._arena_args: Tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     def run(
@@ -204,8 +203,8 @@ class PrunedDijkstra:
     ) -> Delta:
         """Pruned search from *root*; returns the label delta.
 
-        Runs the compiled kernel when it loaded and *store* has live
-        label lists, else the Python loop; both give the same delta and
+        Runs the compiled kernel when it loaded and *store* has a label
+        arena, else the Python loop; both give the same delta and
         counters.
 
         Args:
@@ -221,36 +220,49 @@ class PrunedDijkstra:
             always first with distance 0.
 
         Raises:
-            GraphError: for a root outside the graph, or (compiled
-                kernel) a label entry whose hub rank is outside
-                ``[0, n)`` or whose distance is not a number.
+            GraphError: for a root outside the graph, a store with fewer
+                vertices than the graph, or (compiled kernel) a label
+                entry whose hub rank is outside ``[0, n)``.
         """
         self.graph._check_vertex(root)
-        lists = store.live_lists() if self._kernel is not None else None
-        if lists is None:
+        arena = store.arena() if self._kernel is not None else None
+        if arena is None:
             return self._run_python(root, store, stats)
-        hubs, dists = lists
         n = self.graph.num_vertices
-        if len(hubs) < n or len(dists) < n:
+        if store.n < n:
             raise GraphError(
-                f"label store holds {min(len(hubs), len(dists))} vertices, "
-                f"the graph {n}"
+                f"label store holds {store.n} vertices, the graph {n}"
+            )
+        if arena is not self._scanned:
+            # A new arena (a compaction or a thaw): the engine keeps it
+            # alive while it holds the pointers.
+            self._scanned = arena
+            off, size, ah, ad, _cap = arena
+            self._arena_args = (
+                off.ctypes.data, size.ctypes.data, ah.ctypes.data,
+                ad.ctypes.data, len(ah),
             )
         k = self._kernel(
-            hubs, dists, *self._csr_args, root, self._rank_list[root],
-            *self._scratch_args,
+            n, *self._arena_args, *self._csr_args, root,
+            self._rank_list[root], *self._scratch_args,
         )
         counts = self._counts.tolist()
         if k < 0:
             v, i = counts[0], counts[1]
             if i < 0:
-                raise GraphError(f"label of vertex {v} is not two lists", vertex=v)
+                raise GraphError(
+                    f"label run of vertex {v} lies outside the arena", vertex=v
+                )
+            hub = int(arena[2][arena[0][v] + i])
             raise GraphError(
-                f"label entry {i} of vertex {v}: hub {hubs[v][i]!r} "
-                f"(ranks lie in [0, {n})), distance {dists[v][i]!r}",
-                vertex=v, hub=hubs[v][i],
+                f"label entry {i} of vertex {v}: hub {hub} "
+                f"(ranks lie in [0, {n}))",
+                vertex=v, hub=hub,
             )
-        delta = list(zip(self._out_v[:k].tolist(), self._out_d[:k].tolist()))
+        verts = self._out_v[:k].copy()
+        dists = self._out_d[:k].copy()
+        delta = list(zip(verts.tolist(), dists.tolist()))
+        self._last = (delta[:], verts, dists)
         _report(root, len(delta), stats, *counts)
         return delta
 
@@ -331,10 +343,17 @@ class PrunedDijkstra:
     # ------------------------------------------------------------------
     def commit(self, root: int, delta: Delta, store: LabelStore) -> None:
         """Append *delta* (from :meth:`run` on *root*) into *store*."""
-        root_rank = int(self.rank[root])
-        add = store.add
-        for v, d in delta:
-            add(v, root_rank, d)
+        if not delta:
+            return
+        last = self._last
+        if last is not None and delta == last[0]:
+            # The kernel's own arrays for this delta: no per-entry
+            # conversion.  The comparison is against a copy, so a delta
+            # changed since run() returned it is read afresh.
+            verts, dists = last[1], last[2]
+        else:
+            verts, dists = zip(*delta)
+        store.add_root(self._rank_list[root], verts, dists)
 
     def rank_of(self, v: int) -> int:
         """Rank (indexing position) of vertex *v* under the bound ordering."""

@@ -20,7 +20,8 @@ and do not fail the gate.
 Wall-clock (``kind == "time"``) metrics can be excluded wholesale via
 ``ignore_kinds`` when comparing across machines — CI compares a
 fresh run against the checked-in baseline on counters and simulated
-seconds only, both of which are machine-independent.
+seconds only, both of which are machine-independent.  Comparing them
+across documents whose ``environment.cpu_count`` differ is refused.
 """
 
 from __future__ import annotations
@@ -172,9 +173,11 @@ def compare(
 
     Raises:
         PerfError: for documents without a workloads section, a
-            non-positive tolerance scale, or mismatched suite configs
+            non-positive tolerance scale, mismatched suite configs
             (scale / seed / dataset) — counter and sim metrics are only
-            comparable between runs of the identical workload.
+            comparable between runs of the identical workload — or
+            ``time`` metrics compared across documents whose
+            ``environment.cpu_count`` differ.
     """
     if tolerance_scale <= 0:
         raise PerfError("tolerance_scale must be positive")
@@ -190,6 +193,23 @@ def compare(
                 f"current {key}={cur_cfg[key]!r}; runs are not comparable"
             )
     ignored = tuple(ignore_kinds)
+    base_cpus = baseline.get("environment", {}).get("cpu_count")
+    cur_cpus = current.get("environment", {}).get("cpu_count")
+    if (
+        "time" not in ignored
+        and None not in (base_cpus, cur_cpus)
+        and base_cpus != cur_cpus
+        and any(
+            m.get("kind", "time") == "time"
+            for wl in baseline["workloads"].values()
+            for m in wl.get("metrics", {}).values()
+        )
+    ):
+        raise PerfError(
+            f"time metrics compared across cpu_count {base_cpus} (baseline) "
+            f"and {cur_cpus} (current); wall times are only comparable on "
+            f"one machine, so pass ignore_kinds=('time',)"
+        )
     report = ComparisonReport(ignored_kinds=ignored)
 
     base_wl = baseline["workloads"]

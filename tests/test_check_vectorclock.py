@@ -225,6 +225,61 @@ class TestCommitOnCompletion:
         assert vc.sync_events > 0  # fork/join edges were exercised
 
 
+class TestWrappedStoreMutators:
+    """The write-tracking proxy records a write for every method that
+    changes a store's labels, including the bulk appends."""
+
+    #: Every other public name of LabelStore.
+    OTHERS = {
+        "MUTATORS", "n", "arena", "hubs_of", "dists_of", "entries_of",
+        "label_size", "label_sizes", "total_entries", "avg_label_size",
+        "finalize", "finalized_hubs", "finalized_dists", "finalized_arrays",
+        "memory_breakdown", "copy", "to_arrays", "from_arrays", "from_entries",
+    }
+    CALLS = {
+        "add": lambda s, other: s.add(0, 1, 2.0),
+        "add_delta": lambda s, other: s.add_delta([(0, 1, 2.0), (0, 2, 3.0)]),
+        "add_root": lambda s, other: s.add_root(1, [0, 2], [1.0, 2.0]),
+        "extend_from_arrays": lambda s, other: s.extend_from_arrays(
+            [0, 0], [1, 2], [2.0, 3.0]
+        ),
+        "merge_from": lambda s, other: s.merge_from(other),
+    }
+
+    def test_every_public_method_is_classified(self):
+        from repro.core.labels import LabelStore
+
+        public = {name for name in dir(LabelStore) if not name.startswith("_")}
+        assert set(LabelStore.MUTATORS) == set(self.CALLS)
+        assert public == self.OTHERS | set(self.CALLS)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_each_mutator_records_a_write(self, vc, name):
+        from repro.core.labels import LabelStore
+
+        other = LabelStore(4)
+        other.add(3, 0, 1.0)
+        store = vc.wrap_store(LabelStore(4))
+        before = vc.accesses_tracked
+        self.CALLS[name](store, other)
+        assert vc.accesses_tracked == before + 1
+        assert hooks.unwrap_store(store).total_entries > 0
+
+    def test_unsynchronized_bulk_appends_race(self, vc):
+        from repro.core.labels import LabelStore
+
+        store = vc.wrap_store(LabelStore(4))
+        gate = threading.Barrier(2)
+
+        def sync(hub):
+            gate.wait()
+            store.extend_from_arrays([0, 1], [hub, hub], [1.0, 2.0])
+
+        _run_named(("vc-a", lambda: sync(0)), ("vc-b", lambda: sync(1)))
+        assert not vc.ok
+        assert vc.reports[0].location.endswith(".labels")
+
+
 class TestThreadCommAllgather:
     """The allgather read-out is ordered after the slot writes by the
     fill barrier — a checked edge, not an exemption."""

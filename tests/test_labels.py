@@ -1,10 +1,16 @@
 """Tests for the LabelStore."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.baselines.dijkstra import dijkstra_sssp
+from repro.core import labels
 from repro.core.labels import LabelStore
 from repro.errors import GraphError, NotIndexedError
+from repro.generators.random_graphs import gnm_random_graph
 
 
 class TestMutation:
@@ -201,7 +207,7 @@ class TestSerialisation:
 
 
 class TestFrozenStore:
-    """Stores adopted via from_arrays have no Python lists until thawed."""
+    """Stores adopted via from_arrays have no arena until thawed."""
 
     def _frozen(self):
         store = LabelStore(3)
@@ -293,45 +299,23 @@ class TestEquality:
 class TestTornAppendFinalize:
     """Regression: finalize during a concurrent lock-free append.
 
-    ``_sort_dedup_flat`` snapshots per-vertex sizes first and copies the
-    lists after; a commit landing between the two leaves both lists one
-    entry longer than the snapshot.  The committed prefix must be used
-    for *both* arrays — the hub list used to be copied unsliced, which
-    raised a numpy broadcast error instead of honoring the documented
-    commit protocol.
+    A writer stores an entry in its run's next free arena slot before it
+    publishes the run's new ``size``.  A finalize landing in between
+    must take the published prefix only, and never tear the in-flight
+    entry into the output.
     """
 
-    class _RacyLists:
-        """Per-vertex lists that grow between the size snapshot and the
-        copy, like a concurrent ``add()`` landing mid-finalize: the
-        size-snapshot iteration sees the committed lists, later indexed
-        reads see one extra entry."""
-
-        def __init__(self, committed, extra):
-            self._committed = committed
-            self._extra = extra
-
-        def __len__(self):
-            return len(self._committed)
-
-        def __iter__(self):  # the sizes snapshot path
-            return iter(self._committed)
-
-        def __getitem__(self, v):  # the copy path, after the "append"
-            return self._committed[v] + self._extra[v]
-
     def test_torn_append_commits_prefix_only(self):
-        from repro.core.labels import _sort_dedup_flat
-
-        hub_lists = self._RacyLists(
-            committed=[[0], [1]], extra=[[2], []]
-        )
-        dist_lists = self._RacyLists(
-            committed=[[1.0], [2.0]], extra=[[9.0], []]
-        )
-        indptr, hubs, dists = _sort_dedup_flat(2, hub_lists, dist_lists)
-        # Only the committed prefix is finalized; the in-flight entry
-        # (hub 2, 9.0) is not torn into the output.
+        store = LabelStore(2)
+        store.add(0, 0, 1.0)
+        store.add(1, 1, 2.0)
+        off, size, ah, ad, cap = store.arena()
+        slot = int(off[0] + size[0])
+        assert size[0] < cap[0]
+        ah[slot] = 2
+        ad[slot] = 9.0
+        store.finalize()
+        indptr, hubs, dists = store.finalized_arrays()
         assert indptr.tolist() == [0, 1, 2]
         assert hubs.tolist() == [0, 1]
         assert dists.tolist() == [1.0, 2.0]
@@ -356,3 +340,181 @@ class TestExtendFromArrays:
         frozen = LabelStore.from_arrays(**a.to_arrays())
         assert frozen.extend_from_arrays([1], [1], [2.0]) == 1
         assert frozen.label_size(1) == 1
+
+
+@pytest.fixture
+def tiny_arena(monkeypatch):
+    """Runs start with room for one entry and the arena with one slot,
+    so appends move runs and compact the arena early and often."""
+    monkeypatch.setattr(labels, "_RUN_MIN", 1)
+    monkeypatch.setattr(labels, "_ARENA_MIN", 1)
+
+
+class TestArena:
+    def test_full_run_moves_then_full_arena_compacts(self, monkeypatch):
+        monkeypatch.setattr(labels, "_RUN_MIN", 1)
+        monkeypatch.setattr(labels, "_ARENA_MIN", 4)
+        store = LabelStore(2)
+        store.add(0, 0, 0.0)
+        store.add(1, 0, 1.0)
+        arena = store.arena()
+        store.add(0, 1, 2.0)
+        # Run 0 was full: it moved to the arena's end, in place.
+        assert store.arena() is arena
+        assert arena[0].tolist() == [2, 1] and arena[4].tolist() == [2, 1]
+        store.add(0, 2, 3.0)
+        # No room at the end: fresh arrays, runs back to back, the run
+        # left behind at slot 0 dropped.
+        off, size, ah, _ad, cap = store.arena()
+        assert off.tolist() == [0, 4] and cap.tolist() == [4, 1]
+        assert size.tolist() == [3, 1] and len(ah) == 10
+        assert store.hubs_of(0) == [0, 1, 2] and store.hubs_of(1) == [0]
+        # A reader still holding the old tuple sees its labels as they
+        # were published, never a mix of the two arenas.
+        old_off, old_size, old_ah, _, _ = arena
+        assert old_size.tolist() == [2, 1]
+        assert old_ah[old_off[0]:old_off[0] + old_size[0]].tolist() == [0, 1]
+
+    def test_thaw_keeps_the_csr_arrays_untouched(self):
+        store = LabelStore(2)
+        store.add(0, 1, 1.0)
+        frozen = LabelStore.from_arrays(**store.to_arrays())
+        indptr, hubs, dists = frozen.finalized_arrays()
+        copies = indptr.copy(), hubs.copy(), dists.copy()
+        frozen.add(0, 0, 5.0)
+        frozen.add(1, 1, 2.0)
+        for array, before in zip((indptr, hubs, dists), copies):
+            np.testing.assert_array_equal(array, before)
+        assert frozen.hubs_of(0) == [1, 0]
+
+    @pytest.mark.parametrize(
+        "entry, why",
+        [
+            ((4, 0, 1.0), "vertex is not"),
+            ((-1, 0, 1.0), "vertex is not"),
+            ((0, 2**31, 1.0), "int32"),
+            ((0, 1.5, 1.0), "int32"),
+            ((0, 0, "far"), "not a number"),
+            ((0, 0, float("nan")), "not a number"),
+        ],
+    )
+    def test_bad_entries_rejected_by_every_mutator(self, entry, why):
+        v, h, d = entry
+        calls = [
+            lambda s: s.add(v, h, d),
+            lambda s: s.add_delta([(0, 0, 1.0), entry]),
+            lambda s: s.extend_from_arrays([0, v], [0, h], [1.0, d]),
+        ]
+        for call in calls:
+            store = LabelStore(4)
+            with pytest.raises(GraphError, match=why):
+                call(store)
+            assert store.total_entries == 0
+
+
+class TestFinalizeFastPath:
+    """``finalize`` copies strictly increasing runs out as they are and
+    sends any other store through the global sort; both give the same
+    arrays."""
+
+    @staticmethod
+    def _captured(build):
+        """The unfinalized store a build finalizes, copied."""
+        captured = []
+        real = LabelStore.finalize
+
+        def capture(self):
+            if self.arena() is not None:
+                captured.append(self.copy())
+            real(self)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(LabelStore, "finalize", capture)
+            build()
+        return captured[0]
+
+    @staticmethod
+    def _both_paths(store, monkeypatch):
+        sorts = []
+        real = labels._sort_dedup_entries
+
+        def spy(*args):
+            sorts.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(labels, "_sort_dedup_entries", spy)
+        fast = labels._sort_dedup_flat(store.n, store.arena())
+        owner, hubs, dists = store._flat_entries()
+        full = real(store.n, owner, hubs.astype(np.int64), dists)
+        for a, b in zip(fast, full):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        return bool(sorts)
+
+    def test_serial_store_skips_the_sort(self, monkeypatch):
+        from repro.core.serial import build_serial
+
+        graph = gnm_random_graph(60, 180, seed=4)
+        store = self._captured(lambda: build_serial(graph))
+        assert not self._both_paths(store, monkeypatch)
+
+    def test_threads_store_matches_the_sort(self, monkeypatch):
+        from repro.parallel.threads import build_parallel_threads
+
+        graph = gnm_random_graph(60, 180, seed=4)
+        store = self._captured(
+            lambda: build_parallel_threads(graph, 4, policy="static")
+        )
+        # Workers commit roots out of rank order, so some run is not
+        # increasing and the sort runs.
+        assert self._both_paths(store, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[(0, 2, 1.0), (0, 1, 2.0)], [(0, 1, 5.0), (0, 1, 3.0)]],
+        ids=["unsorted", "duplicated"],
+    )
+    def test_other_runs_take_the_sort(self, monkeypatch, entries):
+        store = LabelStore(2)
+        store.add_delta(entries)
+        assert self._both_paths(store, monkeypatch)
+
+
+class TestConcurrentArena:
+    def test_threads_build_with_compaction_is_exact(self, tiny_arena):
+        """Four threads, more than the cores, share one store whose
+        runs move and whose arena compacts while other threads search
+        it; a lost or torn entry would show as a wrong distance."""
+        from repro.parallel.threads import build_parallel_threads
+
+        compactions = []
+        real = LabelStore._compact
+
+        def counting(self, *args):
+            compactions.append(1)
+            return real(self, *args)
+
+        graph = gnm_random_graph(200, 700, seed=11)
+        built = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(LabelStore, "_compact", counting)
+                worker = threading.Thread(
+                    target=lambda: built.append(
+                        build_parallel_threads(graph, 4, policy="dynamic")
+                    ),
+                    daemon=True,
+                )
+                worker.start()
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and built
+        assert len(compactions) > 1
+        index = built[0]
+        for s in range(graph.num_vertices):
+            truth = dijkstra_sssp(graph, s)
+            for t in range(graph.num_vertices):
+                assert index.distance(s, t) == pytest.approx(truth[t])

@@ -280,6 +280,33 @@ class TestGate:
         with pytest.raises(PerfError):
             compare(base, cur)
 
+    def test_time_across_cpu_counts_raises(self):
+        metrics = {"t": _m(1.0, kind="time", tol=0.35), "c": _m(5.0)}
+        base = _make_doc(metrics)
+        cur = _make_doc(metrics)
+        base["environment"] = {"cpu_count": 1}
+        cur["environment"] = {"cpu_count": 4}
+        with pytest.raises(PerfError, match="cpu_count 1 .* and 4"):
+            compare(base, cur)
+        report = compare(base, cur, ignore_kinds=("time",))
+        assert report.ok
+        assert [c.metric for c in report.comparisons] == ["c"]
+        cur["environment"] = {"cpu_count": 1}
+        assert compare(base, cur).ok
+
+    def test_checked_in_baseline_gates_across_cpu_counts_without_time(self):
+        import json
+        import os
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "benchmarks", "baseline.json")) as fh:
+            baseline = json.load(fh)
+        current = copy.deepcopy(baseline)
+        current["environment"]["cpu_count"] = baseline["environment"]["cpu_count"] + 1
+        with pytest.raises(PerfError, match="cpu_count"):
+            compare(baseline, current)
+        assert compare(baseline, current, ignore_kinds=("time",)).ok
+
     def test_invalid_document_raises(self):
         with pytest.raises(PerfError):
             compare({}, {})

@@ -250,3 +250,128 @@ def _simulated(graph):
 @settings(max_examples=4, deadline=None)
 def test_parallel_builders_with_kernel_are_exact(build, graph):
     _assert_exact(build(graph), graph)
+
+
+# ----------------------------------------------------------------------
+# The label arena against a dict-of-lists model
+# ----------------------------------------------------------------------
+_ARENA_N = 6
+_ENTRY = st.tuples(
+    st.integers(0, _ARENA_N - 1),
+    st.integers(0, _ARENA_N - 1),
+    st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]),
+)
+_BATCH = st.lists(_ENTRY, max_size=10)
+_STEP = st.one_of(
+    st.tuples(st.just("add"), _ENTRY),
+    st.tuples(st.just("add_delta"), _BATCH),
+    st.tuples(st.just("add_root"), st.integers(0, _ARENA_N - 1), st.sets(
+        st.integers(0, _ARENA_N - 1), max_size=_ARENA_N
+    )),
+    st.tuples(st.just("extend_from_arrays"), _BATCH),
+    st.tuples(st.just("merge_from"), _BATCH, st.booleans()),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("thaw")),
+    st.tuples(st.just("finalize")),
+)
+
+
+def _finalized(model):
+    """The model's labels sorted by hub, duplicates at their min distance."""
+    out = []
+    for run in model:
+        best = {}
+        for h, d in run:
+            best[h] = min(d, best.get(h, d))
+        out.append(sorted(best.items()))
+    return out
+
+
+def _assert_same(store, model):
+    for v, run in enumerate(model):
+        assert [int(h) for h in store.hubs_of(v)] == [h for h, _ in run]
+        assert [float(d) for d in store.dists_of(v)] == [d for _, d in run]
+    assert store.label_sizes() == [len(run) for run in model]
+    assert store.total_entries == sum(len(run) for run in model)
+
+
+@given(st.lists(_STEP, max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_label_arena_matches_list_model(steps):
+    """Every mutator, copy, thaw and finalize on the arena store reads
+    back like per-vertex lists, with an arena small enough that runs
+    move and the arena compacts."""
+    from repro.core import labels
+
+    with mock.patch.object(labels, "_RUN_MIN", 1), mock.patch.object(
+        labels, "_ARENA_MIN", 1
+    ):
+        store = LabelStore(_ARENA_N)
+        model = [[] for _ in range(_ARENA_N)]
+        kept = []  # (store, model) pairs left behind by copy
+        for op, *args in steps:
+            if op == "add":
+                v, h, d = args[0]
+                store.add(v, h, d)
+                model[v].append((h, d))
+            elif op in ("add_delta", "extend_from_arrays"):
+                batch = args[0]
+                if op == "add_delta":
+                    assert store.add_delta(batch) == len(batch)
+                else:
+                    cols = list(zip(*batch)) or [(), (), ()]
+                    assert store.extend_from_arrays(
+                        np.array(cols[0], dtype=np.int64),
+                        np.array(cols[1], dtype=np.int64),
+                        np.array(cols[2], dtype=np.float64),
+                    ) == len(batch)
+                for v, h, d in batch:
+                    model[v].append((h, d))
+            elif op == "add_root":
+                h, verts = args
+                verts = sorted(verts)
+                dists = [float(v) / 2 for v in verts]
+                assert store.add_root(h, verts, dists) == len(verts)
+                for v, d in zip(verts, dists):
+                    model[v].append((h, d))
+            elif op == "merge_from":
+                batch, frozen = args
+                other = LabelStore(_ARENA_N)
+                other.add_delta(batch)
+                if frozen:
+                    other = LabelStore.from_arrays(**other.to_arrays())
+                    runs = [[] for _ in range(_ARENA_N)]
+                    for v, h, d in batch:
+                        runs[v].append((h, d))
+                    batch = [
+                        (v, h, d)
+                        for v, run in enumerate(_finalized(runs))
+                        for h, d in run
+                    ]
+                added = 0
+                for v, h, d in batch:
+                    if h not in {h_ for h_, _ in model[v]}:
+                        model[v].append((h, d))
+                        added += 1
+                assert store.merge_from(other) == added
+            elif op == "copy":
+                kept.append((store, [list(run) for run in model]))
+                store = store.copy()
+            elif op == "thaw":
+                store = LabelStore.from_arrays(**store.to_arrays())
+                model = _finalized(model)
+            else:
+                store.finalize()
+                model = _finalized(model)
+            _assert_same(store, model)
+        for old, old_model in kept:
+            _assert_same(old, old_model)
+        store.finalize()
+        model = _finalized(model)
+        indptr, hubs, dists = store.finalized_arrays()
+        assert indptr.tolist() == [0] + np.cumsum(
+            [len(run) for run in model]
+        ).tolist()
+        assert hubs.tolist() == [h for run in model for h, _ in run]
+        assert dists.tolist() == [d for run in model for _, d in run]
+        assert hubs.dtype == np.int64 and dists.dtype == np.float64

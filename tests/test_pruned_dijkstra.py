@@ -181,11 +181,34 @@ class TestKernelBounds:
         assert engine.run(0, LabelStore(4)) == self.PLAIN
 
     def test_distance_not_a_number(self, kernel, path_graph):
+        """A distance that is not a number never reaches the kernel: the
+        store refuses it at append, naming the entry, and stays as it
+        was."""
         engine = make_engine(path_graph, [0, 1, 2, 3])
         store = LabelStore(4)
-        store.add(1, 0, "far")
-        with pytest.raises(GraphError, match="vertex 1: hub 0 .*'far'"):
-            engine.run(0, store)
+        for dist in ("far", None, float("nan")):
+            with pytest.raises(
+                GraphError, match="vertex 1, hub 0, .*not a number"
+            ) as err:
+                store.add(1, 0, dist)
+            assert (err.value.vertex, err.value.hub) == (1, 0)
+        assert store.total_entries == 0
+        assert engine.run(0, store) == self.PLAIN
+
+    @pytest.mark.parametrize(
+        "field, value", [("off", -1), ("off", 10**6), ("size", 10**6)]
+    )
+    def test_run_outside_arena(self, kernel, path_graph, field, value):
+        """A run that does not lie inside the arena ends in a GraphError
+        naming the vertex, never in a read past the arrays."""
+        engine = make_engine(path_graph, [0, 1, 2, 3])
+        store = LabelStore(4)
+        engine.commit(0, engine.run(0, store), store)
+        off, size, _ah, _ad, _cap = store.arena()
+        {"off": off, "size": size}[field][2] = value
+        with pytest.raises(GraphError, match="run of vertex 2 lies outside") as err:
+            engine.run(1, store)
+        assert err.value.vertex == 2
         assert engine.run(0, LabelStore(4)) == self.PLAIN
 
     def test_int_distances_accepted(self, kernel, monkeypatch, path_graph):
@@ -198,17 +221,23 @@ class TestKernelBounds:
             0, store
         )
 
-    def test_dists_one_entry_ahead(self, kernel, monkeypatch, path_graph):
-        """The lock-free writer appends the distance first, so a reader
-        can see one more distance than hubs; both paths scan only the
-        common prefix, as ``zip`` does, and count the hubs."""
+    def test_reader_sees_only_published_entries(
+        self, kernel, monkeypatch, path_graph
+    ):
+        """A writer stores an entry in its run's next free slot before it
+        publishes the run's new ``size``.  A search in between, compiled
+        or Python, must not see the entry: here one that would prune the
+        root itself if it were visible."""
         order = [1, 0, 2, 3]
         kernel_engine = make_engine(path_graph, order)
         reference = reference_engine(monkeypatch, path_graph, order)
         store = LabelStore(4)
         kernel_engine.commit(1, kernel_engine.run(1, store), store)
+        off, size, ah, ad, cap = store.arena()
         for v in range(4):
-            store.live_lists()[1][v].append(0.0)
+            assert size[v] < cap[v]
+            ah[off[v] + size[v]] = 1
+            ad[off[v] + size[v]] = 0.0
         for engine in (kernel_engine, reference):
             stats = SearchStats()
             assert engine.run(0, store, stats) == [(0, 0.0)]
@@ -222,8 +251,9 @@ class TestKernelBounds:
         engine = make_engine(path_graph, [1, 0, 2, 3])
         store = LabelStore(4)
         engine.commit(1, engine.run(1, store), store)
-        frozen = LabelStore.from_arrays(**store.to_arrays())
-        assert frozen.live_lists() is None
+        frozen = LabelStore.from_arrays(**store.copy().to_arrays())
+        assert frozen.arena() is None
+        assert store.arena() is not None
         assert engine.run(0, frozen) == engine.run(0, store) == [(0, 0.0)]
 
 

@@ -1,8 +1,10 @@
 """Tests for the index validators."""
 
+import numpy as np
 import pytest
 
 from repro.core.index import PLLIndex
+from repro.core.labels import LabelStore
 from repro.core.serial import build_serial
 from repro.errors import IndexError_
 from repro.graph.order import by_degree
@@ -51,10 +53,15 @@ class TestCover:
         store, _ = build_serial(random_graph)
         # Drop every entry of one vertex with a non-trivial label.
         victim = max(range(store.n), key=store.label_size)
-        store._hubs[victim].clear()
-        store._dists[victim].clear()
-        store._finalized_hubs = None
-        store._finalized_dists = None
+        indptr, hubs, dists = store.finalized_arrays()
+        lo, hi = int(indptr[victim]), int(indptr[victim + 1])
+        sizes = np.diff(indptr)
+        sizes[victim] = 0
+        store = LabelStore.from_arrays(
+            np.concatenate(([0], np.cumsum(sizes))),
+            np.delete(hubs, np.s_[lo:hi]),
+            np.delete(dists, np.s_[lo:hi]),
+        )
         with pytest.raises(IndexError_, match="QUERY"):
             check_cover(random_graph, store, sources=[victim])
 
