@@ -22,9 +22,9 @@ function with each role:
 Rule catalog (DESIGN.md §14; all support ``# lint-ok`` pragmas and the
 checked-in suppression file exactly like PC001–PC006):
 
-* **PC007** — worker/rank code mutating a shared store
-  (``add`` / ``add_delta`` / ``merge_from`` / ``receive_labels``)
-  without a hooks-managed lock held.  Stores constructed locally in
+* **PC007** — worker/rank code mutating a shared store (any
+  ``LabelStore.MUTATORS`` method, or ``receive_labels``) without a
+  hooks-managed lock held.  Stores constructed locally in
   the same function are rank-private and exempt.
 * **PC008** — writes into the finalized (frozen / mmap-backed) CSR
   label arrays: subscript stores, augmented assigns or mutating
@@ -55,6 +55,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.check.lint import (
+    _STRONG_MUTATORS,
+    _WEAK_MUTATORS,
     FileContext,
     Suppression,
     Violation,
@@ -71,10 +73,6 @@ __all__ = [
 ]
 
 ROLES = ("worker", "rank", "sim", "serve")
-
-#: Store-mutating calls (mirrors PC002's view of the commit surface).
-_STORE_MUTATORS = {"add_delta", "merge_from", "receive_labels"}
-_WEAK_MUTATORS = {"add"}
 
 #: LabelStore finalized-view accessors whose results are frozen.
 _FINALIZED_ACCESSORS = {
@@ -293,8 +291,9 @@ def _check_pc007(ctx: FileContext, fn: FunctionInfo) -> Iterator[Violation]:
         recv = ctx.text(node.func.value)
         recv_root = recv.split(".", 1)[0].split("[", 1)[0]
         storeish = "store" in recv.lower()
+        # PC002's view of the commit surface: the label store's mutators.
         if not (
-            attr in _STORE_MUTATORS
+            attr in _STRONG_MUTATORS
             or (attr in _WEAK_MUTATORS and storeish)
         ):
             continue

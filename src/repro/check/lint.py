@@ -16,8 +16,8 @@ Rule catalogue (see DESIGN.md §9 for the rationale of each):
   module-level ``random.*``, legacy ``np.random.*`` and *unseeded*
   ``np.random.default_rng()`` / ``random.Random()`` are all banned.
 * **PC002 lock discipline** — inside ``repro.parallel`` /
-  ``repro.cluster``, mutations of shared label/task state
-  (``add_delta`` / ``merge_from`` / ``receive_labels``, ``store.add``,
+  ``repro.cluster``, mutations of shared label/task state (every
+  ``LabelStore.MUTATORS`` method, ``receive_labels``, ``store.add``,
   writes to ``self._next``) must happen while a lock is held.  Lock
   possession is tracked by a lightweight intra-function dataflow over
   ``with <lock>:`` blocks and ``.acquire()`` / ``.release()`` pairs.
@@ -59,6 +59,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.labels import LabelStore
 from repro.errors import CheckError
 
 __all__ = [
@@ -341,10 +342,14 @@ class DeterminismRule(Rule):
 # ----------------------------------------------------------------------
 # PC002 — lock discipline around shared mutable state
 # ----------------------------------------------------------------------
-#: Methods that mutate a shared label/task structure, on any receiver.
-_STRONG_MUTATORS = {"add_delta", "merge_from", "receive_labels"}
 #: Methods that mutate only when called on a store-like receiver.
 _WEAK_MUTATORS = {"add"}
+#: Methods that mutate a shared label/task structure, on any receiver:
+#: every label-store mutator (the list the race detector's store proxy
+#: also tracks) plus the simulated node's ``receive_labels``.
+_STRONG_MUTATORS = (set(LabelStore.MUTATORS) - _WEAK_MUTATORS) | {
+    "receive_labels"
+}
 #: Attribute writes on ``self`` that touch shared queue state.
 _SHARED_ATTRS = {"_next"}
 

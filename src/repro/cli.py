@@ -19,8 +19,8 @@ Subcommands::
     parapll flightrec dump --out flight.jsonl              # post-mortem ring
     parapll obs      --graph g.npz --threads 4             # observed build
     parapll bench    --experiment table4                   # = repro.bench
-    parapll perf     run --tag dev                         # benchmark suite
-    parapll perf     compare benchmarks/baseline.json BENCH_dev.json
+    parapll perf     run --tag dev                         # fingerprint suite
+    parapll perf     compare benchmarks/baseline.json BENCH_dev.json  # gate
     parapll timeline --dataset Gnutella --sim --out t.json # Perfetto trace
     parapll check    lint [PATHS...]                       # project linter
     parapll check    races --threads 4                     # race detector
@@ -697,12 +697,7 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
     from repro.obs.perf import read_bench
     from repro.obs.regression import compare
 
-    report = compare(
-        read_bench(args.baseline),
-        read_bench(args.current),
-        tolerance_scale=args.tolerance_scale,
-        ignore_kinds=tuple(args.ignore_kinds or ()),
-    )
+    report = compare(read_bench(args.baseline), read_bench(args.current))
     print(report.render(verbose=args.verbose))
     return report.exit_code
 
@@ -1423,7 +1418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="benchmark suite: record, compare and gate performance",
+        help="fingerprint suite: record and gate counters, simulated "
+        "seconds and hook budgets (wall time lives in bench/)",
     )
     psub = p.add_subparsers(dest="perf_command", required=True)
 
@@ -1443,19 +1439,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_perf_run)
 
     pc = psub.add_parser(
-        "compare", help="gate a BENCH file against a baseline"
+        "compare",
+        help="gate a BENCH file against a baseline: any metric outside "
+        "its tolerance, in either direction, fails",
     )
     pc.add_argument("baseline", help="baseline BENCH file")
     pc.add_argument("current", help="current BENCH file")
-    pc.add_argument(
-        "--tolerance-scale", type=float, default=1.0,
-        help="multiply every per-metric tolerance (e.g. 2.0 on noisy CI)",
-    )
-    pc.add_argument(
-        "--ignore-kinds", nargs="*", default=None,
-        metavar="KIND", choices=("time", "sim", "counter"),
-        help="skip metric kinds (use 'time' when machines differ)",
-    )
     pc.add_argument("-v", "--verbose", action="store_true")
     pc.set_defaults(func=_cmd_perf_compare)
 

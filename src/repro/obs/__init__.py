@@ -18,9 +18,9 @@ the TCP serving layer all feed one process-wide metrics registry and
   instrumented modules bump.
 * :mod:`repro.obs.timeline` — Chrome-trace (Perfetto) export and
   critical-path analysis of the trace buffer.
-* :mod:`repro.obs.perf` / :mod:`repro.obs.regression` — the benchmark
-  suite behind ``parapll perf``: recorded baselines plus the
-  improved/unchanged/regressed gate.
+* :mod:`repro.obs.perf` / :mod:`repro.obs.regression` — the
+  deterministic fingerprint suite behind ``parapll perf``: recorded
+  baselines plus the two-sided changed/unchanged gate.
 * :mod:`repro.obs.env` — environment metadata stamped onto results.
 * :mod:`repro.obs.explain` — per-query EXPLAIN: candidate hubs,
   winner/redundant/dominated classification, label-scan costs.

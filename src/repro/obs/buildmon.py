@@ -21,7 +21,7 @@ into periodic progress snapshots:
 Snapshots are emitted on a sampling schedule (every ``sample_every``
 roots and/or every ``interval_seconds`` of wall time — sampling, not
 per-root emission, is what keeps the monitor's overhead under the <5 %
-``build_serial`` budget gated by the ``audit_overhead`` perf workload).
+``build_serial`` budget gated by the ``hook_overhead`` perf workload).
 Each emitted snapshot goes three places at once:
 
 * the monitor's own event list, exportable as ``parapll-buildmon/1``

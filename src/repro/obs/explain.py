@@ -8,7 +8,7 @@ the query on a *separate diagnostic code path*
 (:func:`repro.core.query.query_candidates`): the production
 :func:`~repro.core.query.query_distance` loop carries no EXPLAIN
 branches, so plain queries pay nothing (guarded by the
-``explain_overhead`` perf workload).
+``batch_query`` perf workload's ``explain_matches`` pin).
 
 Each losing candidate is classified:
 

@@ -1,35 +1,27 @@
-"""The performance suite: small deterministic workloads, recorded runs.
+"""The performance suite: deterministic fingerprints of a revision's work.
 
-One ``BENCH_<tag>.json`` file captures everything needed to compare two
-revisions of this codebase: per-workload wall/simulated times and the
-key operation counters (heap pops, prune hits, labels, sync bytes),
-each run ``repeats`` times with the median and extremes recorded, plus
-environment metadata so numbers from different machines are never
-silently conflated.  :mod:`repro.obs.regression` consumes two such
-files and classifies every metric as improved / unchanged / regressed.
+One ``BENCH_<tag>.json`` file pins what this codebase *does* on a fixed
+seeded graph: operation counters (kind ``counter``), simulated seconds
+from the discrete-event executor (kind ``sim``), 0/1 exactness pins and
+one ``<hook>_over_budget`` verdict per observability hook.  Each
+workload runs ``repeats`` times with the median and extremes recorded,
+plus environment metadata.  :mod:`repro.obs.regression` fails any
+metric that moved beyond its tolerance, in either direction.
 
-Three metric kinds, with different noise characteristics:
-
-* ``"time"`` — wall-clock seconds; machine- and load-dependent, gated
-  with a generous default tolerance and skippable across machines.
-* ``"sim"`` — simulated seconds from the discrete-event executor;
-  deterministic for a fixed seed, gated tightly.
-* ``"counter"`` — operation counts; deterministic except where noted
-  (threaded-build label counts depend on commit interleaving), gated
-  exactly by default with per-metric overrides.
-
-The workload set covers every execution mode: serial build, threaded
-build at p ∈ {1, 4}, simulated build, cluster build with one sync, a
-query batch, a TCP server round-trip, a seeded closed-loop traffic
-replay with an SLO verdict, and the qlog/SLO and telemetry-relay
-hot-path overhead gates.
+Wall time is not recorded: it belongs to the machine and its load, and
+the ``bench/`` ledger owns every wall-time claim (alternating paired
+runs with stated bounds).  The one clock read left is inside
+``hook_overhead``, reduced there to a 0/1 budget verdict.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import statistics
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -39,6 +31,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "PerfError",
     "Workload",
+    "HOOKS",
     "default_workloads",
     "run_suite",
     "read_bench",
@@ -47,19 +40,18 @@ __all__ = [
     "DEFAULT_TOLERANCES",
 ]
 
-BENCH_SCHEMA = "parapll-bench/1"
+BENCH_SCHEMA = "parapll-bench/2"
 
-#: Default relative tolerances per metric kind (see module docstring).
+#: Default relative tolerances per metric kind.  Counters are exact
+#: unless a row widens its own (commit interleaving at p > 1).
 DEFAULT_TOLERANCES: Dict[str, float] = {
-    "time": 0.35,
     "sim": 0.02,
     "counter": 0.0,
 }
 
 #: Absolute slack per kind: differences below this never count as a
-#: change (guards tiny-workload timing noise and float drift).
+#: change (guards float drift in simulated seconds).
 ABS_EPSILON: Dict[str, float] = {
-    "time": 0.005,
     "sim": 1e-9,
     "counter": 0.5,
 }
@@ -82,10 +74,26 @@ def _metric(
     }
 
 
-def _counter_value(name: str) -> float:
+def _count(value: float, unit: str, tol: float = 0.0) -> Dict[str, Any]:
+    return _metric(value, "counter", unit, tol)
+
+
+def _flag(cond: bool) -> Dict[str, Any]:
+    """A 0/1 pin: 1.0 when *cond* holds."""
+    return _count(1.0 if cond else 0.0, "bool")
+
+
+def _registry_count(name: str, unit: str, tol: float = 0.0) -> Dict[str, Any]:
+    """A counter row read from the obs registry's metric *name*."""
+    return _count(_counter_value(name), unit, tol)
+
+
+def _counter_value(name: str, registry: Any = None) -> float:
+    """Total of metric *name* over its series (a histogram counts its
+    sum), in *registry* or the process registry."""
     from repro.obs.metrics import get_registry
 
-    metric = get_registry().get(name)
+    metric = (registry if registry is not None else get_registry()).get(name)
     if metric is None:
         return 0.0
     total = 0.0
@@ -104,86 +112,87 @@ class PerfContext:
     def __init__(self, scale: float, seed: int, dataset: str) -> None:
         from repro.generators.paper import load_dataset
 
-        self.scale = scale
         self.seed = seed
-        self.dataset = dataset
         self.graph = load_dataset(dataset, scale=scale, seed=seed)
 
+    def pairs(self, offset: int, count: int):
+        """*count* seeded (s, t) vertex pairs, an ``int64[count, 2]``."""
+        import numpy as np
 
+        rng = np.random.default_rng(self.seed + offset)
+        return rng.integers(0, self.graph.num_vertices, size=(count, 2))
+
+
+@dataclass
 class Workload:
-    """One named, repeatable measurement.
+    """One named, repeatable measurement: ``fn(ctx)`` returns one run's
+    metric dict (called once per repeat, obs registry freshly reset);
+    ``timeline(ctx)``, when given, a JSON-safe per-worker summary
+    recorded once per suite run."""
 
-    Args:
-        name: stable identifier (a key of the BENCH file).
-        fn: callable taking a :class:`PerfContext` and returning the
-            metric dict for one run; called once per repeat with the
-            obs registry freshly reset.
-        timeline: optional callable producing a JSON-safe timeline
-            summary (per-worker fractions) recorded once per suite run.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[PerfContext], Dict[str, Dict[str, Any]]],
-        timeline: Optional[Callable[[PerfContext], Dict[str, Any]]] = None,
-    ) -> None:
-        self.name = name
-        self.fn = fn
-        self.timeline = timeline
+    name: str
+    fn: Callable[[PerfContext], Dict[str, Dict[str, Any]]]
+    timeline: Optional[Callable[[PerfContext], Dict[str, Any]]] = None
 
 
 # ----------------------------------------------------------------------
 # Workload implementations
 # ----------------------------------------------------------------------
-def _build_counters(tol_labels: float = 0.0) -> Dict[str, Dict[str, Any]]:
+def _build_counters(tol: float = 0.0) -> Dict[str, Dict[str, Any]]:
     """The build-side operation counters, read from the registry."""
+    units = {"heap_pops": "ops", "prune_hits": "ops", "labels": "entries"}
     return {
-        "heap_pops": _metric(
-            _counter_value("parapll_build_heap_pops_total"), "counter", "ops"
-        ),
-        "prune_hits": _metric(
-            _counter_value("parapll_build_prune_hits_total"),
-            "counter",
-            "ops",
-            tol=tol_labels,
-        ),
-        "labels": _metric(
-            _counter_value("parapll_build_labels_total"),
-            "counter",
-            "entries",
-            tol=tol_labels,
-        ),
+        row: _registry_count(f"parapll_build_{row}_total", unit, tol)
+        for row, unit in units.items()
     }
 
 
 def _wl_serial_build(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    from repro.core.serial import build_serial
+    """Serial build counters, plus a full audit of the index built.
 
-    t0 = time.perf_counter()
-    build_serial(ctx.graph)
-    wall = time.perf_counter() - t0
-    out = {"wall_seconds": _metric(wall, "time", "s")}
-    out.update(_build_counters())
+    A serial build is canonical by construction, so the audit's
+    dominated count is pinned to zero: a nonzero count means the builder
+    or the audit broke.
+    """
+    from repro.core.index import PLLIndex
+    from repro.obs.audit import audit_index
+
+    index = PLLIndex.build(ctx.graph)
+    out = _build_counters()
+    report = audit_index(index, source="perf")
+    out["dominated_entries"] = _count(report["dominated"]["count"], "entries")
+    out["label_entries"] = _count(report["total_entries"], "entries")
     return out
 
 
 def _wl_thread_build(p: int):
     def run(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
+        from repro.check.invariants import verify_index
         from repro.parallel.threads import build_parallel_threads
 
-        t0 = time.perf_counter()
-        build_parallel_threads(ctx.graph, p, policy="dynamic")
-        wall = time.perf_counter() - t0
-        out = {"wall_seconds": _metric(wall, "time", "s")}
+        index = build_parallel_threads(ctx.graph, p, policy="dynamic")
         # With p > 1, prune effectiveness depends on commit
         # interleaving, so label/pop counts are noisy by nature.
-        out.update(_build_counters(tol_labels=0.0 if p == 1 else 0.5))
-        if p > 1:
-            out["heap_pops"]["tol"] = 0.5
-        out["roots"] = _metric(
-            _counter_value("parapll_build_roots_total"), "counter", "roots"
+        out = _build_counters(tol=0.0 if p == 1 else 0.5)
+        out["roots"] = _registry_count("parapll_build_roots_total", "roots")
+        if p == 1:
+            return out
+        # ``parapll check index`` smoke: a concurrency regression that
+        # corrupts labels (rather than slowing them down) still fails
+        # the gate.  Every failed check records a violation, so
+        # ``invariant_violations == 0`` is the verifier's verdict.
+        report = verify_index(index, samples=32, seed=ctx.seed)
+        out["invariant_violations"] = _count(
+            len(report.violations), "violations"
         )
+        # Redundant labels are legal but worth watching: a sustained
+        # order-of-magnitude jump means pruning got much less
+        # effective.  Commit interleaving makes the count swing ~2.5x
+        # run to run, hence the very loose tolerance.
+        out["redundant_labels"] = _count(
+            report.redundant_labels, "entries", tol=3.0
+        )
+        out["sampled_pairs"] = _count(report.sampled_pairs, "pairs")
         return out
 
     return run
@@ -192,50 +201,35 @@ def _wl_thread_build(p: int):
 def _wl_multicore_build(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     """Serial vs. 4-process shared-memory build on the perf graph.
 
-    The wall clocks and the derived speedup are kind ``time`` (machine-
-    dependent: the speedup only materialises with >= 4 real cores, so
-    CI compares with ``--ignore-kinds time``); the gating metrics are
-    the deterministic ones — every root committed exactly once and the
-    procs index answering a query sample identically to serial.
+    Every root must be committed exactly once and the procs index must
+    answer a query sample exactly as the serial one does.  The speedup
+    is a wall-time claim, measured by the ``bench/`` ledger.
     """
     import numpy as np
 
     from repro.core.index import PLLIndex
     from repro.parallel.procs import build_parallel_procs
 
-    t0 = time.perf_counter()
     serial = PLLIndex.build(ctx.graph)
-    serial_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
     procs = build_parallel_procs(ctx.graph, 4, policy="dynamic")
-    procs_wall = time.perf_counter() - t0
-    rng = np.random.default_rng(ctx.seed)
-    n = ctx.graph.num_vertices
-    pairs = rng.integers(0, n, size=(256, 2))
-    exact = bool(
-        np.allclose(
-            serial.distance_batch(pairs),
-            procs.distance_batch(pairs),
-            equal_nan=True,
-        )
+    pairs = ctx.pairs(0, 256)
+    exact = np.allclose(
+        serial.distance_batch(pairs),
+        procs.distance_batch(pairs),
+        equal_nan=True,
     )
     return {
-        "serial_wall_seconds": _metric(serial_wall, "time", "s"),
-        "procs_wall_seconds": _metric(procs_wall, "time", "s"),
-        "speedup_x": _metric(
-            serial_wall / procs_wall if procs_wall else 0.0, "time", "x"
+        "roots_committed": _registry_count(
+            "parapll_worker_roots_total", "roots"
         ),
-        "roots_committed": _metric(
-            _counter_value("parapll_worker_roots_total"), "counter", "roots"
-        ),
-        "query_exact": _metric(1.0 if exact else 0.0, "counter", "bool"),
+        "query_exact": _flag(bool(exact)),
     }
 
 
-def _run_sim(ctx: PerfContext):
+def _wl_sim_build(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     from repro.sim.executor import simulate_intra_node
 
-    return simulate_intra_node(
+    _index, run = simulate_intra_node(
         ctx.graph,
         4,
         policy="dynamic",
@@ -243,10 +237,6 @@ def _run_sim(ctx: PerfContext):
         worker_jitter=0.25,
         seed=ctx.seed + 4,
     )
-
-
-def _wl_sim_build(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    _index, run = _run_sim(ctx)
     out = {
         "makespan_sim_seconds": _metric(run.makespan, "sim", "s"),
         "computation_sim_seconds": _metric(
@@ -255,6 +245,10 @@ def _wl_sim_build(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     }
     out.update(_build_counters())
     return out
+
+
+#: Per-worker fields of the recorded timeline (fractions of the makespan).
+_LANE_KEYS = ("lane", "tasks", "busy", "lock_wait", "idle")
 
 
 def _wl_sim_build_timeline(ctx: PerfContext) -> Dict[str, Any]:
@@ -266,7 +260,7 @@ def _wl_sim_build_timeline(ctx: PerfContext) -> Dict[str, Any]:
     obs.get_tracer().clear()
     obs.configure(tracing=True)
     try:
-        _run_sim(ctx)
+        _wl_sim_build(ctx)
         report = analyze_critical_path(task_names=("root_search",))
     finally:
         obs.configure(tracing=previous.tracing)
@@ -277,13 +271,7 @@ def _wl_sim_build_timeline(ctx: PerfContext) -> Dict[str, Any]:
         "chain_seconds": report.chain_seconds,
         "chain_coverage": report.chain_coverage,
         "workers": [
-            {
-                "lane": lane.lane,
-                "tasks": lane.tasks,
-                "busy": lane.busy,
-                "lock_wait": lane.lock_wait,
-                "idle": lane.idle,
-            }
+            {key: getattr(lane, key) for key in _LANE_KEYS}
             for lane in report.lanes
         ],
     }
@@ -307,302 +295,64 @@ def _wl_cluster_build(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
         "communication_sim_seconds": _metric(
             run.communication_time, "sim", "s"
         ),
-        "sync_entries": _metric(
-            _counter_value("parapll_cluster_sync_entries"),
-            "counter",
-            "entries",
+        "sync_entries": _registry_count(
+            "parapll_cluster_sync_entries", "entries"
         ),
-        "sync_bytes": _metric(
-            _counter_value("parapll_cluster_bytes_total"), "counter", "B"
-        ),
-        "redundant_labels": _metric(
-            _counter_value("parapll_cluster_redundant_labels_total"),
-            "counter",
-            "entries",
+        "sync_bytes": _registry_count("parapll_cluster_bytes_total", "B"),
+        "redundant_labels": _registry_count(
+            "parapll_cluster_redundant_labels_total", "entries"
         ),
     }
 
 
-def _wl_query_batch(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    import numpy as np
-
-    from repro.core.index import PLLIndex
-
-    index = PLLIndex.build(ctx.graph)
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed)
-    pairs = rng.integers(0, n, size=(2000, 2))
-    t0 = time.perf_counter()
-    for s, t in pairs:
-        index.query(int(s), int(t))
-    wall = time.perf_counter() - t0
-    return {
-        "wall_seconds": _metric(wall, "time", "s"),
-        "queries": _metric(len(pairs), "counter", "queries"),
-    }
+#: Pairs each query-agreement check compares against the scalar path.
+BATCH_PAIRS = 10_000
+EXPLAIN_PAIRS = 100
 
 
 def _wl_batch_query(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The vectorised batch kernel vs the per-pair Python loop.
+    """Query agreement: batch kernel and EXPLAIN vs the scalar query.
 
-    Times ``query_distance_batch`` on 10k pairs against the equivalent
-    scalar ``query_distance`` loop over the same pairs, and counts how
-    many answers agree bit-for-bit (``batch_matches`` must equal
-    ``pairs`` — the kernel is exact, not approximate).  The
-    ``batch_over_scalar`` ratio is the batch wall divided by the scalar
-    wall: lower is better, and staying well under 1/3 is the point of
-    the kernel.
-    """
-    import numpy as np
-
-    from repro.core.index import PLLIndex
-    from repro.core.query import query_distance, query_distance_batch
-
-    index = PLLIndex.build(ctx.graph)
-    store = index.store
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed + 23)
-    pairs = rng.integers(0, n, size=(10_000, 2))
-
-    t0 = time.perf_counter()
-    batch_out = query_distance_batch(store, pairs)
-    batch_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    scalar_out = np.array(
-        [query_distance(store, int(s), int(t)) for s, t in pairs]
-    )
-    scalar_wall = time.perf_counter() - t0
-
-    matches = int(np.sum(batch_out == scalar_out))
-    return {
-        "batch_seconds": _metric(batch_wall, "time", "s"),
-        "scalar_seconds": _metric(scalar_wall, "time", "s"),
-        # Dimensionless wall ratio; generous tol — both walls jitter.
-        "batch_over_scalar": _metric(
-            batch_wall / scalar_wall, "time", "x", tol=1.0
-        ),
-        "batch_matches": _metric(float(matches), "counter", "pairs"),
-        "pairs": _metric(float(len(pairs)), "counter", "pairs"),
-    }
-
-
-def _wl_server_roundtrip(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    import numpy as np
-
-    from repro.core.index import PLLIndex
-    from repro.service.oracle import DistanceOracle
-    from repro.service.server import DistanceClient, DistanceServer
-
-    index = PLLIndex.build(ctx.graph)
-    oracle = DistanceOracle(index)
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed)
-    pairs = rng.integers(0, n, size=(100, 2))
-    with DistanceServer(oracle) as server:
-        with DistanceClient("127.0.0.1", server.port) as client:
-            client.ping()  # connection warm-up, excluded from timing
-            t0 = time.perf_counter()
-            for s, t in pairs:
-                client.distance(int(s), int(t))
-            wall = time.perf_counter() - t0
-    return {
-        "wall_seconds": _metric(wall, "time", "s"),
-        "requests": _metric(len(pairs), "counter", "requests"),
-    }
-
-
-def _wl_index_invariants(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """``parapll check index`` smoke: every BENCH file records whether a
-    threaded build of the suite graph passes the label-invariant
-    verifier, plus the violation/redundancy counts — so a concurrency
-    regression that corrupts labels (rather than slowing them down)
-    still fails the perf gate."""
-    from repro.check.invariants import verify_index
-    from repro.parallel.threads import build_parallel_threads
-
-    index = build_parallel_threads(ctx.graph, 4, policy="dynamic")
-    t0 = time.perf_counter()
-    report = verify_index(index, samples=32, seed=ctx.seed)
-    wall = time.perf_counter() - t0
-    return {
-        "verify_seconds": _metric(wall, "time", "s"),
-        "invariants_ok": _metric(
-            1.0 if report.ok else 0.0, "counter", "bool"
-        ),
-        "invariant_violations": _metric(
-            float(len(report.violations)), "counter", "violations"
-        ),
-        # Redundant labels are legal but worth watching: a sustained
-        # order-of-magnitude jump means pruning got much less
-        # effective.  Commit interleaving makes the count swing ~2.5x
-        # run to run, hence the very loose tolerance.
-        "redundant_labels": _metric(
-            float(report.redundant_labels), "counter", "entries", tol=3.0
-        ),
-        "sampled_pairs": _metric(
-            float(report.sampled_pairs), "counter", "pairs"
-        ),
-    }
-
-
-def _wl_explain_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """EXPLAIN must cost the plain query path nothing.
-
-    EXPLAIN runs on a separate diagnostic code path
-    (:func:`repro.core.query.query_candidates`), not an ``if`` inside
-    the hot merge join — so this workload times the *plain*
-    ``query_distance`` loop (gating it like any other time metric: a
-    regression here means EXPLAIN leaked into the hot path) and
-    separately times the EXPLAIN loop, while asserting that every
-    explained distance equals the plain query bit-for-bit.
+    Each ``*_matches`` counts answers equal bit for bit to the scalar
+    ``query_distance`` on the same pairs: the batch kernel is exact, and
+    EXPLAIN, a separate diagnostic path, must reproduce the query.
     """
     import numpy as np
 
     from repro.core.index import PLLIndex
     from repro.core.paths import isclose_distance
-    from repro.core.query import query_distance
+    from repro.core.query import query_distance, query_distance_batch
 
     index = PLLIndex.build(ctx.graph)
     store = index.store
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed + 17)
-    pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(100, 2))]
-
-    t0 = time.perf_counter()
-    plain = [query_distance(store, s, t) for s, t in pairs]
-    plain_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    explanations = [index.explain(s, t) for s, t in pairs]
-    explain_wall = time.perf_counter() - t0
-
+    pairs = ctx.pairs(23, BATCH_PAIRS)
+    scalar = np.array(
+        [query_distance(store, int(s), int(t)) for s, t in pairs]
+    )
+    batch_matches = int(np.sum(query_distance_batch(store, pairs) == scalar))
     # atol=0.0 makes isclose_distance an exact-equality test (with the
-    # INF sentinel handled): EXPLAIN must reproduce the query verbatim.
-    matches = sum(
+    # INF sentinel handled).
+    explain_matches = sum(
         1
-        for d, e in zip(plain, explanations)
-        if isclose_distance(d, e.distance, atol=0.0)
+        for s, t in ctx.pairs(17, EXPLAIN_PAIRS).tolist()
+        if isclose_distance(
+            query_distance(store, s, t), index.explain(s, t).distance, atol=0.0
+        )
     )
     return {
-        "plain_query_seconds": _metric(plain_wall, "time", "s"),
-        "explain_seconds": _metric(explain_wall, "time", "s"),
-        "explain_matches": _metric(float(matches), "counter", "pairs"),
-        "pairs": _metric(float(len(pairs)), "counter", "pairs"),
-    }
-
-
-def _wl_audit_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """Buildmon must be (nearly) free; the audit must stay canonical.
-
-    The <5% overhead assertion cannot be enforced by differencing two
-    whole-build walls: on the sub-100ms suite build, run-to-run wall
-    noise is ±10% — larger than the bound being asserted — so that
-    gate would fail on noise, not regressions.  Instead the monitor's
-    *added work* is timed directly: the build calls ``root_done`` once
-    per root plus the sampled emissions, so n hook calls (driving the
-    same sampling schedule a monitored build would) divided by the
-    plain build wall IS the overhead fraction, and because its true
-    value is ~1% the noise multiplies a small number and the 5% gate
-    holds deterministically.  ``overhead_within_gate`` (exact counter)
-    fails the perf comparison outright if the fraction ever exceeds
-    0.05; ``monitor_overhead_ratio`` keeps the end-to-end
-    monitored/plain wall ratio as an informational time metric; and
-    ``progress_events`` pins the sampling schedule exactly, so a
-    change that makes the monitor emit per root fails even when the
-    machine is too noisy to see it in the walls.  The same workload
-    times a full ``audit_index`` pass and pins its dominated count to
-    zero — a serial build is canonical by construction, so a nonzero
-    count here means the builder or the audit broke.
-    """
-    from repro.core.index import PLLIndex
-    from repro.core.serial import build_serial
-    from repro.obs import buildmon as _buildmon
-    from repro.obs.audit import audit_index
-    from repro.obs.buildmon import BuildMonitor
-    from repro.types import SearchStats
-
-    n = ctx.graph.num_vertices
-    sample_every = max(1, n // 20)
-
-    def _monitor() -> BuildMonitor:
-        return BuildMonitor(
-            total_roots=n,
-            sample_every=sample_every,
-            interval_seconds=None,
-            keep_per_root=False,
-        )
-
-    def plain_wall() -> float:
-        t0 = time.perf_counter()
-        build_serial(ctx.graph)
-        return time.perf_counter() - t0
-
-    def monitored_wall() -> float:
-        monitor = _monitor()
-        with _buildmon.monitored(monitor):
-            t0 = time.perf_counter()
-            build_serial(ctx.graph)
-            wall = time.perf_counter() - t0
-        events[0] = len(monitor.events)
-        return wall
-
-    events = [0]
-    plain = min(plain_wall() for _ in range(3))
-    monitored = min(monitored_wall() for _ in range(3))
-
-    # The monitor's entire footprint in a serial build: one root_done
-    # per root, same sampling schedule, same stats bookkeeping.
-    hook_monitor = _monitor()
-    stats = SearchStats(root=0, settled=20, pruned=8, labels_added=12)
-    t0 = time.perf_counter()
-    for root in range(n):
-        hook_monitor.root_done(0, root, stats=stats)
-    hook_wall = time.perf_counter() - t0
-    fraction = hook_wall / plain
-
-    index = PLLIndex.build(ctx.graph)
-    t0 = time.perf_counter()
-    report = audit_index(index, source="perf")
-    audit_wall = time.perf_counter() - t0
-
-    return {
-        "plain_build_seconds": _metric(plain, "time", "s"),
-        "monitored_build_seconds": _metric(monitored, "time", "s"),
-        # End-to-end wall ratio, informational only (see docstring).
-        "monitor_overhead_ratio": _metric(
-            monitored / plain, "time", "x", tol=0.5
-        ),
-        "monitor_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        # The hard gate: exact counter, 1.0 iff overhead <= 5%.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.05 else 0.0, "counter", "bool"
-        ),
-        "progress_events": _metric(
-            float(events[0]), "counter", "events"
-        ),
-        "audit_seconds": _metric(audit_wall, "time", "s"),
-        "dominated_entries": _metric(
-            float(report["dominated"]["count"]), "counter", "entries"
-        ),
-        "label_entries": _metric(
-            float(report["total_entries"]), "counter", "entries"
-        ),
+        "batch_matches": _count(batch_matches, "pairs"),
+        "explain_matches": _count(explain_matches, "pairs"),
     }
 
 
 def _wl_serve_replay(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     """Seeded closed-loop replay against a live server, gated.
 
-    This is the measurement ROADMAP item 2's sharded tier will be
-    accepted against: a deterministic Zipf-skewed request sequence
-    (same seed ⇒ same pairs, every run) pushed through the real TCP
-    stack by concurrent clients, reporting throughput and tail
-    latencies.  ``throughput_rps`` is recorded for the baseline but
-    carries a huge tolerance — the regression gate is lower-is-better,
-    so the gated forms are ``us_per_request`` and the p50/p99 walls.
-    ``errors`` and ``breached_targets`` are exact: replaying a healthy
-    index through a healthy server must produce neither.
+    A deterministic Zipf-skewed request sequence (same seed ⇒ same
+    pairs, every run) pushed through the real TCP stack by concurrent
+    clients.  Replaying a healthy index through a healthy server must
+    complete every request (a client thread that dies leaves its share
+    uncounted, not errored), with no error and no SLO target breached.
     """
     from repro.core.index import PLLIndex
     from repro.obs.slo import SLOTracker
@@ -623,364 +373,304 @@ def _wl_serve_replay(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     # process-wide one (and vice versa).
     with DistanceServer(oracle, slo_tracker=SLOTracker()) as server:
         report = run_replay(config, host="127.0.0.1", port=server.port)
-    lat = report["latency_us"]
-    outcomes = report["outcomes"]
     return {
-        "wall_seconds": _metric(report["wall_seconds"], "time", "s"),
-        "us_per_request": _metric(
-            report["wall_seconds"] * 1e6 / report["requests"], "time", "us"
-        ),
-        "p50_us": _metric(lat["p50"], "time", "us"),
-        "p99_us": _metric(lat["p99"], "time", "us", tol=1.0),
-        "throughput_rps": _metric(
-            report["throughput_rps"], "time", "req/s", tol=5.0
-        ),
-        "requests": _metric(float(report["requests"]), "counter", "requests"),
-        "errors": _metric(float(outcomes.get("error", 0)), "counter", "requests"),
-        "breached_targets": _metric(
-            float(len(report["verdict"]["breached"])), "counter", "targets"
+        "requests": _count(report["requests"], "requests"),
+        "errors": _count(report["outcomes"].get("error", 0), "requests"),
+        "breached_targets": _count(
+            len(report["verdict"]["breached"]), "targets"
         ),
     }
 
 
-def _wl_qlog_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The qlog + SLO hooks must cost the serve path <5%.
+def _wl_telemetry_relay(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
+    """One threaded build with the telemetry plane fully live.
 
-    Same reasoning as ``audit_overhead``: differencing two whole walls
-    cannot assert a 5% bound under ±10% run noise, so the hooks' *added
-    work* is timed directly and divided by the wall the hooks ride — a
-    plain served request over the loopback TCP stack (socket + JSON
-    framing + dispatch + oracle), measured as min-of-3 like the other
-    overhead gates.  Per served request the added work is exactly: one
-    :func:`repro.obs.qlog.record_query` call against an installed
-    recorder (global load + seeded sampling decision + on sampled
-    queries the record append) plus one
-    :meth:`~repro.obs.slo.SLOTracker.record` (one lock, one bucket
-    bisect, per-threshold exceedance counts).  The gate is evaluated at
-    5% sampling — the recommended always-on capture rate; full capture
-    (``qlog_sample=1.0``, the default, meant for short diagnostic
-    windows) is reported informationally as ``full_sample_fraction``.
-    ``qlog_records`` pins the seeded sampler's output exactly: a
-    different count means sampling determinism broke.
+    The collector merges into a *private* registry (merging into the
+    one the client diffs would re-ship every merged increment forever).
+    Its merged ``parapll_build_roots_total`` must equal the source's own
+    total (shipped deltas sum to the source's truth), every committed
+    root must arrive as one ``label_commit`` event, and nothing may be
+    dropped, malformed or fail to merge.
     """
-    import numpy as np
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.relay import Collector, RelayClient
+    from repro.parallel.threads import build_parallel_threads
 
+    with Collector("127.0.0.1", 0, registry=MetricsRegistry()) as collector:
+        client = RelayClient(
+            collector.host, collector.port, rank=0, flush_interval=0.05
+        )
+        try:
+            build_parallel_threads(ctx.graph, 4, policy="dynamic")
+        finally:
+            client.close()
+    # The client's close() flushed synchronously, and the collector's
+    # close() joined its reader once the socket drained to EOF.
+    stats = collector.stats()
+    merged_roots = _counter_value(
+        "parapll_build_roots_total", collector.registry
+    )
+    relayed_commits = sum(
+        1 for e in collector.events() if e["kind"] == "label_commit"
+    )
+    return {
+        "merge_exact": _flag(
+            merged_roots == _counter_value("parapll_build_roots_total")
+        ),
+        "relayed_commits": _count(relayed_commits, "events"),
+        "relay_drops": _count(stats["dropped"], "events"),
+        "malformed_frames": _count(stats["malformed"], "frames"),
+        "merge_errors": _count(stats["merge_errors"], "errors"),
+    }
+
+
+# ----------------------------------------------------------------------
+# Hook overhead: one table, one runner
+# ----------------------------------------------------------------------
+# A 5-10% bound cannot be asserted by differencing a hooked and a plain
+# whole-path wall under ±10% run noise.  So each hook's added work is
+# replayed alone, on the hooked path's schedule, and divided by the
+# plain path's wall.  ``replay(ctx) -> (arm, pins)``: ``arm()`` builds
+# fresh hook state untimed and returns the timed loop, which leaves
+# nothing installed, so the plain path it alternates with stays plain.
+
+#: Best-of-N for every timed wall, plain and hook alike.
+TIMED_REPEATS = 5
+
+
+def _best_walls(
+    plain: Callable[[], Any], arm: Callable[[], Callable[[], Any]]
+) -> List[float]:
+    """Best of :data:`TIMED_REPEATS` walls of *plain* and of
+    ``arm()()``, alternating, so that both see the same machine load;
+    only the call ``arm`` returns is timed."""
+    best = [float("inf")] * 2
+    for _ in range(TIMED_REPEATS):
+        for i, fn in enumerate((plain, arm())):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def _serve_pairs(ctx: PerfContext) -> List[List[int]]:
+    return ctx.pairs(31, 1000).tolist()
+
+
+def _plain_paths(
+    ctx: PerfContext, stack: contextlib.ExitStack
+) -> Dict[str, Callable[[], Any]]:
+    """The plain paths the hooks ride, by name; *stack* stops the server."""
     from repro.core.index import PLLIndex
-    from repro.obs import qlog as _qlog
+    from repro.core.serial import build_serial
     from repro.obs.slo import SLOTracker
+    from repro.parallel.threads import build_parallel_threads
     from repro.service.oracle import DistanceOracle
     from repro.service.server import DistanceClient, DistanceServer
 
-    index = PLLIndex.build(ctx.graph)
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed + 31)
-    pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(1000, 2))]
+    # Served requests over loopback TCP: socket, JSON framing, dispatch
+    # and oracle, the wall the qlog and SLO hooks ride.
+    pairs = _serve_pairs(ctx)
+    oracle = DistanceOracle(PLLIndex.build(ctx.graph), cache_size=1024)
+    server = stack.enter_context(
+        DistanceServer(oracle, slo_tracker=SLOTracker())
+    )
+    client = stack.enter_context(DistanceClient("127.0.0.1", server.port))
 
-    oracle = DistanceOracle(index, cache_size=1024)
-    with DistanceServer(oracle, slo_tracker=SLOTracker()) as server:
-        client = DistanceClient("127.0.0.1", server.port)
-        try:
+    def serve() -> None:
+        for s, t in pairs:
+            client.distance(s, t)
 
-            def plain_wall() -> float:
-                t0 = time.perf_counter()
-                for s, t in pairs:
-                    client.distance(s, t)
-                return time.perf_counter() - t0
-
-            plain = min(plain_wall() for _ in range(3))
-        finally:
-            client.close()
-
-    def hook_wall(sample: float) -> tuple:
-        recorder = _qlog.QueryLogRecorder(sample=sample, seed=ctx.seed)
-        tracker = SLOTracker()
-        _qlog.install(recorder)
-        try:
-            wall = float("inf")
-            for _ in range(3):
-                recorder.clear()
-                t0 = time.perf_counter()
-                for s, t in pairs:
-                    _qlog.record_query("distance", s, t, 10.0)
-                    tracker.record(1e-5, ok=True)
-                wall = min(wall, time.perf_counter() - t0)
-        finally:
-            _qlog.uninstall()
-        return wall, recorder.sampled
-
-    sampled_wall, records = hook_wall(0.05)
-    full_wall, _ = hook_wall(1.0)
-    fraction = sampled_wall / plain
     return {
-        "plain_serve_seconds": _metric(plain, "time", "s"),
-        "hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        "full_sample_fraction": _metric(
-            full_wall / plain, "time", "x", tol=1.0
+        "serial_build": lambda: build_serial(ctx.graph),
+        "threads_build": lambda: build_parallel_threads(
+            ctx.graph, 4, policy="dynamic"
         ),
-        # The hard gate: exact counter, 1.0 iff overhead at the
-        # recommended 5% sampling rate stays <= 5% of the
-        # served-request wall.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.05 else 0.0, "counter", "bool"
-        ),
-        "qlog_records": _metric(float(records), "counter", "records"),
-        "pairs": _metric(float(len(pairs)), "counter", "pairs"),
+        "served_request": serve,
     }
 
 
-def _wl_check_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The vector-clock sanitizer must cost the thread build <10%.
+def _replay_buildmon(ctx: PerfContext):
+    """One ``root_done`` per root on a monitor with the build's sampling
+    schedule.  A monitored build pins that schedule (``progress_events``),
+    so a monitor that starts emitting per root fails with no clock."""
+    from repro.core.serial import build_serial
+    from repro.obs import buildmon as _buildmon
+    from repro.types import SearchStats
 
-    Same direct-measurement reasoning as ``audit_overhead``: a 10%
-    bound cannot be asserted by differencing two whole-build walls
-    under ±10% run noise.  One instrumented build (under
-    ``PARAPLL_SANITIZE=vc`` semantics: a fresh
-    ``VectorClockSanitizer`` installed) counts the actual hook traffic
-    — tracked accesses, lock acquire/release pairs, fork/join events —
-    and must finish race-free (``vc_races`` pins that to zero).  The
-    sanitizer's *added work* is then timed directly by replaying that
-    exact hook schedule against a fresh engine, and divided by the
-    plain build wall; ``overhead_within_gate`` (exact counter) fails
-    the comparison outright if the fraction exceeds 0.10.  When the
-    sanitizer is off the hooks must dispatch to nothing:
-    ``hooks_active_when_off`` pins the off-path to an exact zero.
-    """
-    import gc
+    n = ctx.graph.num_vertices
 
+    def monitor() -> _buildmon.BuildMonitor:
+        return _buildmon.BuildMonitor(
+            total_roots=n,
+            sample_every=max(1, n // 20),
+            interval_seconds=None,
+            keep_per_root=False,
+        )
+
+    probe = monitor()
+    with _buildmon.monitored(probe):
+        build_serial(ctx.graph)
+    stats = SearchStats(root=0, settled=20, pruned=8, labels_added=12)
+
+    def arm() -> Callable[[], None]:
+        hook = monitor()
+
+        def loop() -> None:
+            for root in range(n):
+                hook.root_done(0, root, stats=stats)
+
+        return loop
+
+    return arm, {"progress_events": _count(len(probe.events), "events")}
+
+
+#: The qlog budget holds at the recommended always-on sampling rate;
+#: full capture is for short diagnostic windows.
+QLOG_SAMPLE = 0.05
+
+
+def _replay_qlog(ctx: PerfContext):
+    """Per served request, one :func:`repro.obs.qlog.record_query` on an
+    installed recorder plus one :meth:`~repro.obs.slo.SLOTracker.record`.
+    ``qlog_records`` pins the seeded sampler's output for one pass."""
+    from repro.obs import qlog as _qlog
+    from repro.obs.slo import SLOTracker
+
+    pairs = _serve_pairs(ctx)
+    tracker = SLOTracker()
+
+    def recorder() -> _qlog.QueryLogRecorder:
+        return _qlog.QueryLogRecorder(sample=QLOG_SAMPLE, seed=ctx.seed)
+
+    def serve(rec: _qlog.QueryLogRecorder) -> None:
+        _qlog.install(rec)
+        try:
+            for s, t in pairs:
+                _qlog.record_query("distance", s, t, 10.0)
+                tracker.record(1e-5, ok=True)
+        finally:
+            _qlog.uninstall()
+
+    probe = recorder()
+    serve(probe)
+
+    def arm() -> Callable[[], None]:
+        return functools.partial(serve, recorder())
+
+    return arm, {"qlog_records": _count(probe.sampled, "records")}
+
+
+def _replay_vc(ctx: PerfContext):
+    """One build under a fresh vector-clock sanitizer counts the real
+    hook traffic and must finish race-free; the replay drives that
+    schedule against a fresh, uninstalled engine.  It keeps the build's
+    split of accesses: a fresh location per slow-path access (a
+    one-location replay would ride the fast path and dodge the conflict
+    checks), then the FastTrack same-epoch population as writes to one
+    hot location.  The split itself is scheduler noise (10 to ~1,100
+    fast-path hits over builds of one graph), so only the total is
+    pinned."""
     from repro.check import hooks as _check_hooks
     from repro.check.vectorclock import VectorClockSanitizer
     from repro.parallel.threads import build_parallel_threads
 
-    def plain_wall() -> float:
-        t0 = time.perf_counter()
+    hooks_active = _check_hooks.get_active() is not None
+    build_vc = VectorClockSanitizer()
+    with build_vc:
         build_parallel_threads(ctx.graph, 4, policy="dynamic")
-        return time.perf_counter() - t0
+    fast = build_vc.fastpath_hits
+    slow = [f"perf.store.{i}" for i in range(build_vc.accesses_tracked - fast)]
+    syncs = build_vc.sync_events // 2
 
-    # Off-path: with no sanitizer installed the hooks are no-ops.
-    ambient = _check_hooks.get_active()
-    _check_hooks.set_active(None)
-    # Freeze the garbage collector across the timed sections: by this
-    # point the suite has built a dozen indexes, and automatic gen2
-    # passes scan that whole heap mid-loop — the measured fraction
-    # would track heap size (and the workload's position in the
-    # suite), not the sanitizer.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        hooks_active = 1.0 if _check_hooks.get_active() is not None else 0.0
-        plain = min(plain_wall() for _ in range(3))
+    def arm() -> Callable[[], None]:
+        replay = VectorClockSanitizer()
+        lock = replay.make_lock("perf.commit")
 
-        build_vc = VectorClockSanitizer()
-        with build_vc:
-            t0 = time.perf_counter()
-            build_parallel_threads(ctx.graph, 4, policy="dynamic")
-            sanitized = time.perf_counter() - t0
-
-        # Replay the observed hook schedule against a fresh engine:
-        # that loop IS the sanitizer's entire footprint in the build.
-        # The instrumented build splits its accesses into two measured
-        # populations — same-owner re-writes riding the FastTrack
-        # same-epoch fast path (the overwhelming majority: commits to a
-        # vertex's label streak from one worker) and full
-        # epoch-allocating, stack-capturing slow-path accesses — and
-        # the replay reproduces that observed mix exactly: a fresh
-        # location per slow-path access (a one-location replay would
-        # ride the fast path and dodge the conflict checks), then the
-        # fast-path population as repeated writes to one hot location.
-        slow = build_vc.accesses_tracked - build_vc.fastpath_hits
-        names = [f"perf.store.{i}" for i in range(slow)]
-        syncs = build_vc.sync_events // 2
-
-        def replay_wall() -> float:
-            replay = VectorClockSanitizer()
-            lock = replay.make_lock("perf.commit")
-            t0 = time.perf_counter()
-            for name in names:
+        def loop() -> None:
+            for name in slow:
                 with lock:
                     replay.record_access(name, write=True)
-            for _ in range(build_vc.fastpath_hits):
+            for _ in range(fast):
                 with lock:
                     replay.record_access("perf.store.hot", write=True)
             for i in range(syncs):
                 replay.thread_fork(f"perf-w{i}")
                 replay.thread_join(f"perf-w{i}")
-            return time.perf_counter() - t0
 
-        # Best of three, like the plain wall it is divided by.
-        hook_wall = min(replay_wall() for _ in range(3))
-        fraction = hook_wall / plain
-    finally:
-        _check_hooks.set_active(ambient)
-        if gc_was_enabled:
-            gc.enable()
+        return loop
 
-    return {
-        "plain_build_seconds": _metric(plain, "time", "s"),
-        "sanitized_build_seconds": _metric(sanitized, "time", "s"),
-        # End-to-end wall ratio, informational only (see docstring).
-        "sanitizer_overhead_ratio": _metric(
-            sanitized / plain, "time", "x", tol=0.5
-        ),
-        "sanitizer_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        # The hard gate: exact counter, 1.0 iff overhead <= 10%.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.10 else 0.0, "counter", "bool"
-        ),
-        "vc_races": _metric(
-            float(len(build_vc.reports)), "counter", "races"
-        ),
+    return arm, {
+        "vc_races": _count(len(build_vc.reports), "races"),
         # Commit traffic tracks labels-added, which is interleaving-
         # dependent at p=4 (same reason thread_build_p4 widens labels).
-        "vc_accesses": _metric(
-            float(build_vc.accesses_tracked), "counter", "accesses",
-            tol=0.5,
-        ),
-        "vc_fastpath_hits": _metric(
-            float(build_vc.fastpath_hits), "counter", "accesses",
-            tol=0.5,
-        ),
-        "vc_sync_events": _metric(
-            float(build_vc.sync_events), "counter", "events"
-        ),
-        "hooks_active_when_off": _metric(
-            hooks_active, "counter", "bool"
-        ),
+        "vc_accesses": _count(build_vc.accesses_tracked, "accesses", tol=0.5),
+        "vc_sync_events": _count(build_vc.sync_events, "events"),
+        # With no sanitizer installed the hooks must dispatch to nothing.
+        "hooks_active_when_off": _flag(hooks_active),
     }
 
 
-def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The telemetry relay must cost the threaded build <5%.
-
-    Same direct-measurement reasoning as the other overhead gates: a 5%
-    bound cannot be asserted by differencing two whole-build walls
-    under ±10% run noise.  Attaching the relay adds no call on the
-    worker thread: the events it ships are the flight recorder's
-    always-on records, and the delta collection, span scan, ring read
-    and socket write all ride the relay's flush thread.  So the
-    per-root commit record, :func:`repro.obs.flightrec.record`
-    ``("label_commit", ...)`` (a dict build and a ring append), is
-    timed directly, the build's root count times, min-of-3, and divided
-    by the plain build wall.  ``overhead_within_gate`` (exact counter)
-    fails the comparison outright if that fraction exceeds 0.05.
-
-    The end-to-end leg builds once with the full plane live — in-process
-    :class:`~repro.obs.relay.Collector` on a *private* registry (merging
-    into the registry the client diffs would re-ship every merged
-    increment forever), relay client on the process registry — and
-    pins the merge exact: the collector's merged
-    ``parapll_build_roots_total`` must equal the source registry's own
-    cumulative total (shipped deltas always sum to the source's truth —
-    see :class:`repro.obs.bus.MetricsDelta`), every committed root must
-    arrive as one ``label_commit`` event (``relayed_commits``), and
-    there must be zero drops, zero malformed frames and zero merge
-    errors.
-    """
-    import gc
-
+def _replay_flightrec(ctx: PerfContext):
+    """The per-root commit record, a dict build and a ring append: the
+    only telemetry work on a worker thread (delta collection, ring reads
+    and socket writes ride the relay's flush thread)."""
     from repro.obs import flightrec as _flightrec
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.relay import Collector, RelayClient
-    from repro.parallel.threads import build_parallel_threads
 
     n = ctx.graph.num_vertices
+    record = _flightrec.record
 
-    def plain_wall() -> float:
-        t0 = time.perf_counter()
-        build_parallel_threads(ctx.graph, 4, policy="dynamic")
-        return time.perf_counter() - t0
+    def loop() -> None:
+        for root in range(n):
+            record("label_commit", worker=0, root=root, labels=8)
 
-    # Same GC discipline as check_overhead: automatic gen2 passes over
-    # the suite's accumulated heap would dominate the measured fraction.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        plain = min(plain_wall() for _ in range(3))
+    return (lambda: loop), {}
 
-        # End-to-end: one build with the relay plane fully live.
-        collector = Collector(
-            "127.0.0.1", 0, registry=MetricsRegistry()
-        ).start()
-        try:
-            client = RelayClient(
-                collector.host,
-                collector.port,
-                rank=0,
-                flush_interval=0.05,
-            )
-            try:
-                t0 = time.perf_counter()
-                build_parallel_threads(ctx.graph, 4, policy="dynamic")
-                relayed = time.perf_counter() - t0
-            finally:
-                client.close()
-            # close() flushed synchronously; wait for the collector's
-            # reader thread to drain the socket and see EOF.
-            deadline = time.perf_counter() + 10.0
-            while time.perf_counter() < deadline:
-                stats = collector.stats()
-                sources = stats["sources"]
-                if sources and not any(
-                    s["connected"] for s in sources.values()
-                ):
-                    break
-                time.sleep(0.01)
-            stats = collector.stats()
-            expected_roots = _counter_value("parapll_build_roots_total")
-            merged_roots = 0.0
-            for metric in collector.registry.snapshot():
-                if metric["name"] == "parapll_build_roots_total":
-                    merged_roots = sum(
-                        float(s["value"]) for s in metric["series"]
-                    )
-            relayed_commits = sum(
-                1 for e in collector.events() if e["kind"] == "label_commit"
-            )
-        finally:
-            collector.close()
 
-        # The per-root commit record, the build's root count times.
-        def hook_wall() -> float:
-            record = _flightrec.record
-            t0 = time.perf_counter()
-            for root in range(n):
-                record("label_commit", worker=0, root=root, labels=8)
-            return time.perf_counter() - t0
+#: One entry per hook: name, replay, the plain path it rides, and its
+#: budget as a fraction of that path's wall.
+HOOKS = (
+    ("buildmon", _replay_buildmon, "serial_build", 0.05),
+    ("qlog", _replay_qlog, "served_request", 0.05),
+    ("vc", _replay_vc, "threads_build", 0.10),
+    ("flightrec", _replay_flightrec, "threads_build", 0.05),
+)
 
-        hook = min(hook_wall() for _ in range(3))
-        fraction = hook / plain
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
-    return {
-        "plain_build_seconds": _metric(plain, "time", "s"),
-        "relay_build_seconds": _metric(relayed, "time", "s"),
-        # End-to-end wall ratio, informational only (see docstring).
-        "relay_overhead_ratio": _metric(relayed / plain, "time", "x", tol=0.5),
-        "relay_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        # The hard gate: exact counter, 1.0 iff overhead <= 5%.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.05 else 0.0, "counter", "bool"
-        ),
-        # Merge exactness: the collector's merged counter equals the
-        # source registry's cumulative total, and every root committed
-        # while the relay was attached arrived as one label_commit.
-        "merge_exact": _metric(
-            1.0 if merged_roots == expected_roots else 0.0,
-            "counter",
-            "bool",
-        ),
-        "relayed_commits": _metric(
-            float(relayed_commits), "counter", "events"
-        ),
-        "relay_drops": _metric(float(stats["dropped"]), "counter", "events"),
-        "malformed_frames": _metric(
-            float(stats["malformed"]), "counter", "frames"
-        ),
-        "merge_errors": _metric(
-            float(stats["merge_errors"]), "counter", "errors"
-        ),
-    }
+def _wl_hook_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
+    """Every hook against its budget: ``<hook>_over_budget`` reads 1
+    when the replay's best wall exceeds ``budget`` times the plain
+    path's best wall, else 0; plus each hook's pins."""
+    import gc
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.check import hooks as _check_hooks
+
+    out: Dict[str, Dict[str, Any]] = {}
+    with contextlib.ExitStack() as stack:
+        # Freeze the garbage collector across the timed sections: by
+        # this point the suite has built a dozen indexes, and automatic
+        # gen2 passes scan that whole heap mid-loop, so the fraction
+        # would track heap size (and the workload's position in the
+        # suite), not the hook.
+        if gc.isenabled():
+            gc.disable()
+            stack.callback(gc.enable)
+        # An ambient sanitizer would inflate every wall.
+        stack.callback(_check_hooks.set_active, _check_hooks.get_active())
+        _check_hooks.set_active(None)
+        plains = _plain_paths(ctx, stack)
+        # Time on a worker thread, where a build's hooks run: the vc
+        # detector captures up to 8 stack frames per access, so at the
+        # caller's depth (``python -m repro.cli`` sits deeper than a
+        # script) the replay's cost would depend on the caller.
+        timer = stack.enter_context(ThreadPoolExecutor(1))
+        for name, replay, plain, budget in HOOKS:
+            arm, pins = replay(ctx)
+            walls = timer.submit(_best_walls, plains[plain], arm).result()
+            out.update(pins)
+            out[f"{name}_over_budget"] = _flag(walls[1] > budget * walls[0])
+    return out
 
 
 def default_workloads() -> List[Workload]:
@@ -992,19 +682,11 @@ def default_workloads() -> List[Workload]:
         Workload("build_multicore", _wl_multicore_build),
         Workload("sim_build_p4", _wl_sim_build, timeline=_wl_sim_build_timeline),
         Workload("cluster_build_q2c1", _wl_cluster_build),
-        Workload("query_batch", _wl_query_batch),
         Workload("batch_query", _wl_batch_query),
-        Workload("server_roundtrip", _wl_server_roundtrip),
-        Workload("index_invariants", _wl_index_invariants),
-        Workload("explain_overhead", _wl_explain_overhead),
-        Workload("audit_overhead", _wl_audit_overhead),
         Workload("serve_replay", _wl_serve_replay),
-        Workload("qlog_overhead", _wl_qlog_overhead),
-        Workload("check_overhead", _wl_check_overhead),
-        Workload("telemetry_overhead", _wl_telemetry_overhead),
+        Workload("telemetry_relay", _wl_telemetry_relay),
+        Workload("hook_overhead", _wl_hook_overhead),
     ]
-
-
 # ----------------------------------------------------------------------
 # Suite runner
 # ----------------------------------------------------------------------
@@ -1015,7 +697,6 @@ def run_suite(
     dataset: str = "Gnutella",
     tag: str = "dev",
     workloads: Optional[Sequence[Workload]] = None,
-    include_timeline: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
     """Run the PerfSuite and return the BENCH document.
@@ -1058,7 +739,7 @@ def run_suite(
                 "tol": meta["tol"],
             }
         entry: Dict[str, Any] = {"metrics": metrics}
-        if include_timeline and wl.timeline is not None:
+        if wl.timeline is not None:
             entry["timeline"] = wl.timeline(ctx)
         results[wl.name] = entry
 
@@ -1104,8 +785,6 @@ def read_bench(path: str) -> Dict[str, Any]:
             f"{path!r} has schema {doc['schema']!r}; this build reads "
             f"{BENCH_SCHEMA!r}"
         )
-    if "workloads" not in doc:
-        raise PerfError(f"{path!r} has no workloads section")
     return doc
 
 

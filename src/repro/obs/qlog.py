@@ -40,7 +40,8 @@ queries using a seeded :class:`random.Random`, so a capture is
 reproducible for a fixed seed and arrival order.  With no recorder
 installed the hot-path cost is one module-global load and an ``is
 None`` test — the same discipline as :mod:`repro.obs.buildmon` — and
-that cost is gated by the ``qlog_overhead`` perf workload.
+that cost is gated by the ``qlog`` row of the ``hook_overhead`` perf
+workload.
 
 Dump format (``parapll-qlog/1``): a header line ``{"kind": "header",
 "schema": "parapll-qlog/1", "pid", "records", "capacity", "sampled",

@@ -604,6 +604,12 @@ class Collector:
     def close(self) -> None:
         """Stop accepting, close the listener, join reader threads."""
         self._stop.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - best effort
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - best effort

@@ -156,7 +156,9 @@ def _sync_mirror(
         if len(own_ranks):
             peer = ~np.isin(hubs, own_ranks)
             verts, hubs, dists = verts[peer], hubs[peer], dists[peer]
-        store.extend_from_arrays(verts, hubs, dists)
+        # The mirror is this worker process's private copy: no other
+        # thread or process writes it, so there is no lock to hold.
+        store.extend_from_arrays(verts, hubs, dists)  # lint-ok: PC002, PC007
         synced = committed
     return log, synced
 

@@ -224,7 +224,7 @@ class TestPerf:
 
         out = self._run(tmp_path)
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "parapll-bench/1"
+        assert doc["schema"] == "parapll-bench/2"
         assert "environment" in doc and "workloads" in doc
         stdout = capsys.readouterr().out
         assert "serial_build" in stdout

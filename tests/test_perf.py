@@ -10,8 +10,11 @@ import pytest
 from repro import obs
 from repro.obs.env import environment_metadata, git_revision
 from repro.obs.perf import (
+    BATCH_PAIRS,
     BENCH_SCHEMA,
     DEFAULT_TOLERANCES,
+    EXPLAIN_PAIRS,
+    HOOKS,
     PerfError,
     PerfContext,
     Workload,
@@ -184,7 +187,7 @@ class TestGate:
         report = compare(suite_doc, suite_doc)
         assert report.ok
         assert report.exit_code == 0
-        assert not report.regressions
+        assert not report.failures
 
     def test_injected_regression_fails(self, suite_doc):
         current = copy.deepcopy(suite_doc)
@@ -193,9 +196,9 @@ class TestGate:
         report = compare(suite_doc, current)
         assert not report.ok
         assert report.exit_code == 1
-        (bad,) = report.regressions
+        (bad,) = report.failures
         assert (bad.workload, bad.metric) == ("serial_build", "labels")
-        assert bad.status == "regressed"
+        assert bad.status == "changed"
         assert "FAIL" in report.render()
 
     def test_missing_metric_fails(self):
@@ -203,7 +206,7 @@ class TestGate:
         cur = _make_doc({"a": _m(10.0)})
         report = compare(base, cur)
         assert not report.ok
-        (bad,) = report.regressions
+        (bad,) = report.failures
         assert bad.status == "missing"
         assert bad.metric == "b"
 
@@ -219,7 +222,8 @@ class TestGate:
         cur = _make_doc({"a": _m(7.0)})
         report = compare(base, cur)
         assert not report.ok
-        (bad,) = report.regressions
+        (bad,) = report.failures
+        assert bad.status == "changed"
         assert bad.ratio is None
 
     def test_zero_baseline_within_epsilon_unchanged(self):
@@ -229,47 +233,44 @@ class TestGate:
         assert compare(base, cur).ok
 
     def test_within_tolerance_noise_unchanged(self):
-        base = _make_doc({"t": _m(10.0, kind="time", tol=0.35)})
-        cur = _make_doc({"t": _m(12.0, kind="time", tol=0.35)})
-        report = compare(base, cur)
-        assert report.ok
-        assert report.counts()["unchanged"] == 1
+        for cur_value in (10.15, 9.85):
+            base = _make_doc({"s": _m(10.0, kind="sim", tol=0.02)})
+            cur = _make_doc({"s": _m(cur_value, kind="sim", tol=0.02)})
+            report = compare(base, cur)
+            assert report.ok
+            assert report.counts()["unchanged"] == 1
 
     def test_improvement_classified(self):
-        base = _make_doc({"t": _m(10.0, kind="time", tol=0.35)})
-        cur = _make_doc({"t": _m(5.0, kind="time", tol=0.35)})
+        """A fall beyond the tolerance is a change, not an improvement:
+        every suite metric is a fingerprint, so it fails like a rise."""
+        base = _make_doc({"s": _m(10.0, kind="sim", tol=0.02)})
+        cur = _make_doc({"s": _m(9.0, kind="sim", tol=0.02)})
         report = compare(base, cur)
-        assert report.ok
-        assert report.counts()["improved"] == 1
+        assert not report.ok
+        assert report.counts()["changed"] == 1
+        assert set(report.counts()) == {
+            "changed", "missing", "new", "unchanged"
+        }
 
-    def test_time_epsilon_absorbs_microjitter(self):
-        # 1 ms -> 3 ms is 3x, but below the 5 ms absolute epsilon.
-        base = _make_doc({"t": _m(0.001, kind="time", tol=0.35)})
-        cur = _make_doc({"t": _m(0.003, kind="time", tol=0.35)})
-        assert compare(base, cur).counts()["unchanged"] == 1
+    def test_exact_counter_fall_fails(self):
+        # One root skipped: 586 -> 585 on a tol-0 counter.
+        base = _make_doc({"roots_committed": _m(586.0)})
+        cur = _make_doc({"roots_committed": _m(585.0)})
+        report = compare(base, cur)
+        assert not report.ok
+        (bad,) = report.failures
+        assert bad.status == "changed"
+        assert bad.ratio == pytest.approx(585.0 / 586.0)
+        assert "FAIL" in report.render()
 
-    def test_tolerance_scale_loosens_gate(self):
-        base = _make_doc({"t": _m(10.0, kind="time", tol=0.35)})
-        cur = _make_doc({"t": _m(15.0, kind="time", tol=0.35)})
-        assert not compare(base, cur).ok
-        assert compare(base, cur, tolerance_scale=2.0).ok
-
-    def test_tolerance_scale_invalid(self):
-        doc = _make_doc({"a": _m(1.0)})
-        with pytest.raises(PerfError):
-            compare(doc, doc, tolerance_scale=0.0)
-
-    def test_ignore_kinds_skips_time(self):
-        base = _make_doc(
-            {"t": _m(1.0, kind="time", tol=0.0), "c": _m(5.0)}
-        )
-        cur = _make_doc(
-            {"t": _m(9.0, kind="time", tol=0.0), "c": _m(5.0)}
-        )
-        assert not compare(base, cur).ok
-        report = compare(base, cur, ignore_kinds=("time",))
-        assert report.ok
-        assert len(report.comparisons) == 1
+    def test_over_budget_flip_fails(self):
+        base = _make_doc({"vc_over_budget": _m(0.0)})
+        cur = _make_doc({"vc_over_budget": _m(1.0)})
+        report = compare(base, cur)
+        assert not report.ok
+        (bad,) = report.failures
+        assert (bad.metric, bad.status) == ("vc_over_budget", "changed")
+        assert "[changed  ] wl.vc_over_budget" in report.render()
 
     def test_config_mismatch_raises(self):
         base = _make_doc({"a": _m(1.0)})
@@ -279,33 +280,6 @@ class TestGate:
         )
         with pytest.raises(PerfError):
             compare(base, cur)
-
-    def test_time_across_cpu_counts_raises(self):
-        metrics = {"t": _m(1.0, kind="time", tol=0.35), "c": _m(5.0)}
-        base = _make_doc(metrics)
-        cur = _make_doc(metrics)
-        base["environment"] = {"cpu_count": 1}
-        cur["environment"] = {"cpu_count": 4}
-        with pytest.raises(PerfError, match="cpu_count 1 .* and 4"):
-            compare(base, cur)
-        report = compare(base, cur, ignore_kinds=("time",))
-        assert report.ok
-        assert [c.metric for c in report.comparisons] == ["c"]
-        cur["environment"] = {"cpu_count": 1}
-        assert compare(base, cur).ok
-
-    def test_checked_in_baseline_gates_across_cpu_counts_without_time(self):
-        import json
-        import os
-
-        here = os.path.dirname(os.path.abspath(__file__))
-        with open(os.path.join(here, "..", "benchmarks", "baseline.json")) as fh:
-            baseline = json.load(fh)
-        current = copy.deepcopy(baseline)
-        current["environment"]["cpu_count"] = baseline["environment"]["cpu_count"] + 1
-        with pytest.raises(PerfError, match="cpu_count"):
-            compare(baseline, current)
-        assert compare(baseline, current, ignore_kinds=("time",)).ok
 
     def test_invalid_document_raises(self):
         with pytest.raises(PerfError):
@@ -336,22 +310,37 @@ class TestCheckedInBaseline:
         doc = read_bench(baseline_path)
         assert compare(doc, doc).ok
 
+    def test_baseline_is_deterministic_rows_within_budget(self, baseline_path):
+        doc = read_bench(baseline_path)
+        assert set(doc["workloads"]) == {w.name for w in default_workloads()}
+        kinds = {
+            m["kind"]
+            for entry in doc["workloads"].values()
+            for m in entry["metrics"].values()
+        }
+        assert kinds <= {"counter", "sim"}
+        hook_rows = doc["workloads"]["hook_overhead"]["metrics"]
+        budget_rows = {n for n in hook_rows if n.endswith("_over_budget")}
+        assert budget_rows == {f"{name}_over_budget" for name, *_ in HOOKS}
+        for name in budget_rows:
+            assert hook_rows[name]["median"] == 0.0, name
+
 
 class TestExplainOverheadWorkload:
+    # EXPLAIN's agreement pin rides the query-agreement workload.
     def test_workload_registered(self):
         names = [w.name for w in default_workloads()]
-        assert "explain_overhead" in names
+        assert "batch_query" in names
 
     def test_explain_matches_every_pair(self, suite_doc):
-        metrics = suite_doc["workloads"]["explain_overhead"]["metrics"]
-        assert metrics["explain_matches"]["median"] == metrics["pairs"]["median"]
-        assert metrics["pairs"]["median"] == 100.0
+        metrics = suite_doc["workloads"]["batch_query"]["metrics"]
+        assert metrics["explain_matches"]["median"] == EXPLAIN_PAIRS
 
     def test_counters_exact_kind(self, suite_doc):
-        metrics = suite_doc["workloads"]["explain_overhead"]["metrics"]
-        assert metrics["explain_matches"]["kind"] == "counter"
-        assert metrics["plain_query_seconds"]["kind"] == "time"
-        assert metrics["explain_seconds"]["kind"] == "time"
+        metric = suite_doc["workloads"]["batch_query"]["metrics"][
+            "explain_matches"
+        ]
+        assert (metric["kind"], metric["tol"]) == ("counter", 0.0)
 
 
 class TestBatchQueryWorkload:
@@ -363,16 +352,12 @@ class TestBatchQueryWorkload:
         # The kernel is exact: all 10k batch answers must equal the
         # scalar loop bit-for-bit, every repeat.
         metrics = suite_doc["workloads"]["batch_query"]["metrics"]
-        assert metrics["batch_matches"]["median"] == metrics["pairs"]["median"]
-        assert metrics["pairs"]["median"] == 10000.0
+        assert metrics["batch_matches"]["median"] == BATCH_PAIRS == 10000
         assert metrics["batch_matches"]["min"] == metrics["batch_matches"]["max"]
 
     def test_metric_kinds(self, suite_doc):
         metrics = suite_doc["workloads"]["batch_query"]["metrics"]
-        assert metrics["batch_matches"]["kind"] == "counter"
-        assert metrics["batch_seconds"]["kind"] == "time"
-        assert metrics["scalar_seconds"]["kind"] == "time"
-        assert metrics["batch_over_scalar"]["kind"] == "time"
+        assert {m["kind"] for m in metrics.values()} == {"counter"}
 
 
 class TestCheckOverheadWorkload:
@@ -380,10 +365,22 @@ class TestCheckOverheadWorkload:
         """The workload freezes the collector only while it times."""
         import gc
 
-        from repro.obs.perf import _wl_check_overhead
+        from repro.check import hooks
+        from repro.obs.perf import _wl_hook_overhead
 
         assert gc.isenabled()
         ctx = PerfContext(scale=0.1, seed=42, dataset="Gnutella")
-        metrics = _wl_check_overhead(ctx)
+        metrics = _wl_hook_overhead(ctx)
         assert gc.isenabled()
+        assert hooks.get_active() is None
         assert metrics["vc_races"]["value"] == 0.0
+
+    def test_hook_table_budgets(self):
+        # One row per hook; the budgets are fractions of the plain path.
+        table = {name: (plain, budget) for name, _r, plain, budget in HOOKS}
+        assert table == {
+            "buildmon": ("serial_build", 0.05),
+            "qlog": ("served_request", 0.05),
+            "vc": ("threads_build", 0.10),
+            "flightrec": ("threads_build", 0.05),
+        }

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -682,6 +683,16 @@ class TestTwoProcessIntegration:
 
 
 class TestFailureModes:
+    def test_collector_close_is_prompt_and_leaves_no_thread(self):
+        collector = Collector(registry=MetricsRegistry()).start()
+        client = RelayClient(collector.host, collector.port, rank=0)
+        client.close()
+        t0 = time.perf_counter()
+        collector.close()
+        assert time.perf_counter() - t0 < 1.0
+        names = [t.name for t in threading.enumerate()]
+        assert "telemetry-collector" not in names
+
     def test_dead_collector_marks_client_dead(self):
         listener = socket.create_server(("127.0.0.1", 0))
         host, port = listener.getsockname()
