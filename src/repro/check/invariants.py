@@ -21,6 +21,13 @@ Proposition 1's proof actually uses:
   parallel builds legitimately carry redundant labels (the paper's
   Table 5), so domination is reported as a count and only fails the
   check in ``strict_minimality`` mode.
+* ``labels_exact`` — on a seeded uniform sample of label entries (all
+  of them when there are fewer than ``samples``), every stored
+  distance equals a fresh Dijkstra run from the entry's hub.  A
+  parallel build may add redundant labels but never a wrong one
+  (Proposition 1), so this is the invariant the whole system rests on.
+  Entries, not sources, are sampled: the top hubs own most entries, so
+  a handful of uniform sources would see almost none of them.
 * ``two_hop_exact`` — on a seeded sample of pairs, index distances
   match a fresh Dijkstra run exactly (absolute tolerance for float
   summation order).
@@ -38,6 +45,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.baselines.dijkstra import dijkstra_sssp
 from repro.errors import CheckError
 from repro.types import INF
 
@@ -72,6 +80,8 @@ class InvariantReport:
     redundant_labels: int = 0
     #: (source, target) pairs compared against Dijkstra.
     sampled_pairs: int = 0
+    #: Label entries whose distance was compared against Dijkstra.
+    checked_entries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -105,6 +115,7 @@ class InvariantReport:
             f"  verdict: {'PASS' if self.ok else 'FAIL'} "
             f"({len(self.violations)} violation(s), "
             f"{self.redundant_labels} redundant label(s), "
+            f"{self.checked_entries} checked entry(ies), "
             f"{self.sampled_pairs} sampled pair(s))"
         )
         return "\n".join(lines)
@@ -128,10 +139,11 @@ def verify_index(
 
     Args:
         index: a :class:`~repro.core.index.PLLIndex`.
-        graph: graph for the sampled exactness check (defaults to
-            ``index.graph``; without one the check is skipped).
-        samples: number of sampled (source, target) pairs.
-        seed: RNG seed for the pair sample (deterministic reports).
+        graph: graph for the sampled exactness checks (defaults to
+            ``index.graph``; without one they are skipped).
+        samples: number of sampled label entries, and of sampled
+            (source, target) pairs.
+        seed: RNG seed for both samples (deterministic reports).
         atol: absolute tolerance for float distance comparison.
         strict_minimality: fail (not just count) on dominated labels —
             correct for serial builds, which are canonical.
@@ -234,15 +246,54 @@ def verify_index(
             CheckResult("minimality", "skipped", "disabled")
         )
 
-    # -- two_hop_exact (sampled, vs. Dijkstra) -------------------------
     graph = graph if graph is not None else index.graph
-    if graph is None:
-        report.checks.append(
-            CheckResult("two_hop_exact", "skipped", "no graph attached")
-        )
-    elif samples > 0:
-        from repro.baselines.dijkstra import dijkstra_sssp
+    skip = "no graph attached" if graph is None else (
+        "samples=0" if samples <= 0 else ""
+    )
 
+    # -- labels_exact (sampled entries, vs. Dijkstra) ------------------
+    if skip:
+        report.checks.append(CheckResult("labels_exact", "skipped", skip))
+    else:
+        indptr, hubs, dists = store.finalized_arrays()
+        total = len(hubs)
+        picks = (
+            np.arange(total) if samples >= total
+            else np.sort(
+                np.random.default_rng(seed).choice(
+                    total, size=samples, replace=False
+                )
+            )
+        )
+        owners = np.searchsorted(indptr, picks, side="right") - 1
+        picked_hubs = hubs[picks]
+        bad = 0
+        for h in np.unique(picked_hubs).tolist():
+            at = picked_hubs == h
+            if not 0 <= h < n:
+                bad += int(at.sum())  # no such hub: not a true distance
+                continue
+            truth = np.asarray(dijkstra_sssp(graph, int(index.order[h])))
+            got, want = dists[picks[at]], truth[owners[at]]
+            wrong = ~np.isclose(got, want, rtol=0.0, atol=atol)
+            for v, g, w in zip(
+                owners[at][wrong].tolist(), got[wrong].tolist(),
+                want[wrong].tolist(),
+            ):
+                _record(
+                    report, "labels_exact", v,
+                    f"label (hub rank {h}) stores {g}, Dijkstra says {w}",
+                )
+            bad += int(wrong.sum())
+        report.checked_entries = len(picks)
+        _result(
+            report, "labels_exact", bad, f"{len(picks)} of {total} entries"
+        )
+
+    # -- two_hop_exact (sampled, vs. Dijkstra) -------------------------
+    if skip:
+        report.checks.append(CheckResult("two_hop_exact", "skipped", skip))
+    else:
         rng = np.random.default_rng(seed)
         sources = rng.integers(0, n, size=max(1, samples // 8))
         bad = 0
@@ -264,10 +315,6 @@ def verify_index(
                     )
         _result(
             report, "two_hop_exact", bad, f"{report.sampled_pairs} pairs"
-        )
-    else:
-        report.checks.append(
-            CheckResult("two_hop_exact", "skipped", "samples=0")
         )
 
     return report

@@ -711,8 +711,7 @@ _LAYER_GROUPS: List[Tuple[str, ...]] = [
     ("repro.generators", "repro.io"),
     ("repro.core", "repro.digraph", "repro.baselines"),
     ("repro.parallel", "repro.sim"),
-    ("repro.cluster", "repro.service", "repro.obs",
-     "repro.efficiency", "repro.validate"),
+    ("repro.cluster", "repro.service", "repro.obs", "repro.efficiency"),
     ("repro.check",),
     ("repro.bench", "repro.cli"),
 ]

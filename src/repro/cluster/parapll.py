@@ -223,9 +223,10 @@ def simulate_cluster(
             # Merge remote labels and release all nodes at the common clock.
             redundant = 0
             for k, node in enumerate(nodes):
-                for src, delta in enumerate(gathered):
-                    if src != k:
-                        redundant += node.receive_labels(delta)
+                redundant += node.receive_labels([
+                    entry for src, delta in enumerate(gathered)
+                    if src != k for entry in delta
+                ])
                 node.advance_all(comm.clocks[k])
             sp.set(sim_seconds=exchange_elapsed, redundant=redundant)
 

@@ -107,12 +107,12 @@ def cluster_rank_program(
                     entries=len(update_list),
                 )
             gathered = comm.allgather(rank, update_list)
-            for src, triples in enumerate(gathered):
-                if src == rank:
-                    continue
-                for v, h, d in triples:
-                    if h not in store.hubs_of(v):
-                        store.add(v, h, d)
+            store.merge_from(
+                entry
+                for src, triples in enumerate(gathered)
+                if src != rank
+                for entry in triples
+            )
     return store
 
 

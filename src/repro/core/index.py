@@ -21,7 +21,7 @@ from repro.core.query import (
     query_result,
 )
 from repro.core.serial import build_serial
-from repro.errors import GraphError
+from repro.errors import GraphError, IndexError_
 from repro.graph.csr import CSRGraph
 from repro.graph.order import ordering_rank, validate_ordering
 from repro.types import IndexStats, QueryResult
@@ -319,11 +319,11 @@ class PLLIndex:
     def verify_against_dijkstra(
         self, sources: Sequence[int], atol: float = 1e-9
     ) -> None:
-        """Assert every distance from the given sources matches Dijkstra.
+        """Check every distance from the given sources against Dijkstra.
 
         Raises:
             GraphError: if the index has no attached graph.
-            AssertionError: on the first mismatching pair.
+            IndexError_: on the first mismatching pair.
         """
         if self.graph is None:
             raise GraphError("index has no attached graph to verify against")
@@ -335,9 +335,11 @@ class PLLIndex:
             for t in range(self.graph.num_vertices):
                 got = self.distance(int(s), t)
                 want = truth[t]
-                assert isclose_distance(got, want, atol=atol), (
-                    f"distance({s}, {t}) = {got}, Dijkstra says {want}"
-                )
+                if not isclose_distance(got, want, atol=atol):
+                    raise IndexError_(
+                        f"distance({s}, {t}) = {got}, Dijkstra says {want}",
+                        source=int(s), target=t,
+                    )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

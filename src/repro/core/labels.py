@@ -636,29 +636,28 @@ class LabelStore:
         other._invalidate()
         return other
 
-    def _flat_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every entry as flat ``(owner, hub, dist)`` arrays, vertex by
-        vertex, each label in its stored order."""
-        if self._arena is None:
-            indptr, hubs, dists = self.finalized_arrays()
-            sizes = np.diff(indptr)
-        else:
-            sizes, hubs, dists = _gather(self._arena)
-        return np.repeat(np.arange(self.n, dtype=np.int64), sizes), hubs, dists
+    def merge_from(self, delta: Iterable[Tuple[int, int, float]]) -> int:
+        """Union ``(v, hub_rank, dist)`` triples into this store; returns
+        the entries added.
 
-    def merge_from(self, other: "LabelStore") -> int:
-        """Union *other*'s entries into this store; returns entries added.
-
-        Exact-duplicate (v, hub) pairs already present are skipped so that
-        repeated synchronisation rounds don't inflate the store; of a
-        pair *other* holds twice, its first entry is taken.
+        Unlike :meth:`add_delta`, (v, hub) pairs already present are
+        skipped, so that repeated synchronisation rounds don't inflate
+        the store; of a pair *delta* holds twice, its first entry is
+        taken.  The union is vectorised: one int64 key per pair.
+        Raises :class:`GraphError` as :meth:`add` does.
         """
-        if other.n != self.n:
-            raise GraphError("cannot merge label stores of different sizes")
-        owner, hubs, dists = other._flat_entries()
-        if not len(owner):
+        triples = list(delta)
+        if not triples:
             return 0
-        mine_owner, mine_hubs, _ = self._flat_entries()
+        owner, hubs, dists = self._checked(*zip(*triples))
+        if self._arena is None:
+            self._thaw()
+        # Only the runs of the vertices *delta* touches can hold a pair.
+        off, size, ah, _ad, _cap = self._arena
+        touched = np.unique(owner)
+        have = size[touched]
+        mine_owner = np.repeat(touched, have)
+        mine_hubs = ah[_ranges(off[touched], have)]
         # One int64 key per (vertex, hub) pair; hub ranks fit in int32.
         key = (owner << 32) | (hubs.astype(np.int64) & 0xFFFFFFFF)
         mine = (mine_owner << 32) | (mine_hubs.astype(np.int64) & 0xFFFFFFFF)

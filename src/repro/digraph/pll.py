@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.labels import LabelStore
 from repro.digraph.graph import DiCSRGraph
-from repro.errors import GraphError, OrderingError
+from repro.errors import GraphError, IndexError_, OrderingError
 from repro.types import INF, IndexStats
 
 __all__ = ["DirectedPLLIndex"]
@@ -196,7 +196,11 @@ class DirectedPLLIndex:
         return float(best)
 
     def verify_against_dijkstra(self, sources: Sequence[int]) -> None:
-        """Assert exactness from the given sources (tests/tools)."""
+        """Check exactness from the given sources (tests/tools).
+
+        Raises:
+            IndexError_: on the first pair that disagrees with Dijkstra.
+        """
         from repro.core.paths import isclose_distance
         from repro.digraph.dijkstra import dijkstra_forward
 
@@ -204,7 +208,12 @@ class DirectedPLLIndex:
             truth = dijkstra_forward(self.graph, int(s))
             for t in range(self.graph.num_vertices):
                 got = self.distance(int(s), t)
-                assert isclose_distance(got, truth[t]), (s, t, got, truth[t])
+                if not isclose_distance(got, truth[t]):
+                    raise IndexError_(
+                        f"distance({s}, {t}) = {got}, "
+                        f"Dijkstra says {truth[t]}",
+                        source=int(s), target=t,
+                    )
 
     def avg_label_size(self) -> float:
         """Mean (out + in) entries per vertex."""

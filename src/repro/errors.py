@@ -44,7 +44,9 @@ class GraphFormatError(GraphError):
 
 
 class IndexError_(ReproError):
-    """Raised for invalid use of a distance index (e.g. querying before build).
+    """Raised for invalid use of a distance index (e.g. querying before
+    build), and by ``verify_against_dijkstra`` for a distance that
+    disagrees with Dijkstra.
 
     Named with a trailing underscore to avoid shadowing the built-in
     :class:`IndexError`.

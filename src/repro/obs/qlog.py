@@ -129,6 +129,7 @@ class QueryLogRecorder:
         self._records: "deque" = deque(maxlen=capacity)
         self._seq = itertools.count(1)
         self._sample = sample
+        self._seed = seed
         self._rng = random.Random(seed)
         self._sink_lock = threading.Lock()
         self._sink: Optional[IO[str]] = None
@@ -204,8 +205,12 @@ class QueryLogRecorder:
         return records
 
     def clear(self) -> None:
-        """Drop the buffered records (the sink is untouched)."""
+        """Drop the buffered records and restart the sampler: a cleared
+        recorder samples what a fresh one with the same seed would.
+        ``seq`` keeps counting, and the sink is untouched."""
         self._records.clear()
+        self.sampled = 0
+        self._rng.seed(self._seed)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -5,9 +5,9 @@ PrunedDijkstra` engine (private scratch arrays) and pulls roots from a
 shared :class:`~repro.parallel.task_manager.TaskAssignment`.  Labels
 live in one shared :class:`~repro.core.labels.LabelStore`: reads
 (pruning) are lock-free; commits happen under a single lock, exactly
-Algorithm 2's semaphore.  The commit ordering inside
-:meth:`LabelStore.add` (distance before hub) makes the lock-free reads
-safe under CPython's GIL.
+Algorithm 2's semaphore.  The store's publish order (entries, then
+the run's ``off``, then its ``size``) makes the lock-free reads safe:
+a reader sees only whole, published entries.
 
 Because of the GIL, this implementation demonstrates ParaPLL's
 *correctness under concurrency* (Proposition 1) rather than wall-clock

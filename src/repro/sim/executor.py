@@ -67,7 +67,6 @@ class IntraNodeSimulator:
             unit model bound to this graph.
         visibility: ``"completion"`` or ``"immediate"`` (see module doc).
         chunk: dynamic-policy grab size.
-        record_schedule: keep (worker, root, start, finish) tuples.
         jitter: machine-noise level.  Each task's run time is multiplied
             by a seeded mean-one lognormal factor with this sigma,
             modelling the execution-time variance (cache misses, memory
@@ -98,7 +97,6 @@ class IntraNodeSimulator:
         cost_model: Optional[CostModel] = None,
         visibility: str = "completion",
         chunk: int = 1,
-        record_schedule: bool = False,
         jitter: float = 0.0,
         worker_jitter: float = 0.0,
         seed: int = 0,
@@ -127,7 +125,6 @@ class IntraNodeSimulator:
         )
         self.visibility = visibility
         self.chunk = chunk
-        self.record_schedule = record_schedule
         self.jitter = jitter
         self.worker_jitter = worker_jitter
         self._rng = np.random.default_rng(seed)
@@ -148,7 +145,6 @@ class IntraNodeSimulator:
         self.worker_busy: List[float] = [0.0] * num_workers
         self.lock_free_at: float = 0.0
         self.per_root: List[SearchStats] = []
-        self.schedule: List[Tuple[int, int, float, float]] = []
         #: Label triples committed since the last :meth:`drain_deltas`
         #: (consumed by the cluster synchroniser).
         self._pending_deltas: List[Tuple[int, int, float]] = []
@@ -263,8 +259,6 @@ class IntraNodeSimulator:
                     store.add_delta(triples)
                 self._pending_deltas.extend(triples)
                 self.worker_busy[w] += t - start
-                if self.record_schedule:
-                    self.schedule.append((w, root, start, t))
                 if _obs_config.TRACING:
                     # Same schema as the real builders' "root_search"
                     # records, but stamped with *simulated* seconds
@@ -318,14 +312,8 @@ class IntraNodeSimulator:
         Returns:
             The number of skipped (redundant) entries.
         """
-        store = self.store
         _check_hooks.access(self._san_store, write=True)
-        skipped = 0
-        for v, h, d in triples:
-            if h not in store.hubs_of(v):
-                store.add(v, h, d)
-            else:
-                skipped += 1
+        skipped = len(triples) - self.store.merge_from(triples)
         if skipped and _obs_config.METRICS:
             CLUSTER_REDUNDANT_LABELS.inc(skipped)
         return skipped
@@ -339,7 +327,6 @@ def simulate_intra_node(
     cost_model: Optional[CostModel] = None,
     visibility: str = "completion",
     chunk: int = 1,
-    record_schedule: bool = False,
     jitter: float = 0.0,
     worker_jitter: float = 0.0,
     seed: int = 0,
@@ -349,9 +336,8 @@ def simulate_intra_node(
 
     Returns:
         ``(index, run_result)`` — the finalized index produced under the
-        simulated schedule, and the timing/makespan metrics.  The
-        run result's ``schedule`` and the index stats' ``per_root`` are
-        populated according to the flags.
+        simulated schedule, and the timing/makespan metrics; the index
+        stats carry ``per_root``.
     """
     sim = IntraNodeSimulator(
         graph,
@@ -361,7 +347,6 @@ def simulate_intra_node(
         cost_model=cost_model,
         visibility=visibility,
         chunk=chunk,
-        record_schedule=record_schedule,
         jitter=jitter,
         worker_jitter=worker_jitter,
         seed=seed,
@@ -380,6 +365,5 @@ def simulate_intra_node(
         computation_time=sum(sim.worker_busy),
         communication_time=0.0,
         per_worker_busy=list(sim.worker_busy),
-        schedule=list(sim.schedule),
     )
     return index, result

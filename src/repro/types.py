@@ -155,7 +155,6 @@ class ParallelRunResult:
         communication_time: portion spent in synchronisation / messaging.
         per_worker_busy: busy seconds for each worker, for load-balance
             analysis (static vs. dynamic assignment).
-        schedule: (worker, root, start, finish) tuples when recorded.
     """
 
     index_stats: IndexStats
@@ -163,7 +162,6 @@ class ParallelRunResult:
     computation_time: float = 0.0
     communication_time: float = 0.0
     per_worker_busy: List[float] = field(default_factory=list)
-    schedule: List[Tuple[int, int, float, float]] = field(default_factory=list)
 
     @property
     def load_imbalance(self) -> float:

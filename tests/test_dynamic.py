@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.baselines.dijkstra import dijkstra_sssp
+from repro.check.invariants import verify_index
 from repro.core.dynamic import DynamicPLL
 from repro.core.index import PLLIndex
 from repro.errors import GraphError
@@ -124,8 +125,6 @@ class TestValidation:
 
 class TestRebuild:
     def test_rebuild_restores_canonical(self):
-        from repro.validate import check_canonical
-
         g = gnm_random_graph(30, 50, seed=2)
         dyn = DynamicPLL(PLLIndex.build(g))
         rng = random.Random(1)
@@ -140,7 +139,11 @@ class TestRebuild:
         entries_before = dyn.store.total_entries
         dyn.rebuild()
         # Rebuilt index is canonical and no larger than the patched one.
-        report = check_canonical(dyn.current_graph(), dyn.store, dyn.order)
-        assert report.redundant_entries == 0
+        report = verify_index(
+            PLLIndex(dyn.store, dyn.order, graph=dyn.current_graph()),
+            strict_minimality=True,
+        )
+        assert report.ok, report.render()
+        assert report.redundant_labels == 0
         assert dyn.store.total_entries <= entries_before
         assert_exact(dyn)

@@ -1,13 +1,18 @@
 """Tests for the PLLIndex facade."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.dijkstra import dijkstra_sssp
 from repro.core.index import PLLIndex
-from repro.errors import GraphError
+from repro.errors import GraphError, IndexError_
 from repro.graph.order import by_degree
 
 
@@ -301,5 +306,29 @@ class TestVerify:
         # Corrupt one finalized distance through the zero-copy slice.
         index.store.finalize()
         index.store.finalized_dists(3)[:] = 999.0
-        with pytest.raises(AssertionError):
+        with pytest.raises(IndexError_, match="Dijkstra says"):
             index.verify_against_dijkstra([0])
+
+    def test_verify_detects_corruption_under_optimize(self):
+        """The check is not an ``assert``: ``python -O`` keeps it."""
+        script = textwrap.dedent(
+            """
+            from repro.core.index import PLLIndex
+            from repro.graph.builder import GraphBuilder
+
+            b = GraphBuilder(num_vertices=4)
+            b.add_edges([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+            index = PLLIndex.build(b.build())
+            index.store.finalize()
+            index.store.finalized_dists(3)[:] = 999.0
+            index.verify_against_dijkstra([0])
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "IndexError_" in proc.stderr

@@ -118,24 +118,20 @@ class TestMergeCopy:
     def test_merge_from_unions(self):
         a = LabelStore(2)
         a.add(0, 0, 1.0)
-        b = LabelStore(2)
-        b.add(0, 1, 2.0)
-        b.add(1, 0, 3.0)
-        added = a.merge_from(b)
+        added = a.merge_from([(0, 1, 2.0), (1, 0, 3.0)])
         assert added == 2
         assert a.total_entries == 3
 
     def test_merge_skips_duplicates(self):
         a = LabelStore(1)
         a.add(0, 0, 1.0)
-        b = LabelStore(1)
-        b.add(0, 0, 1.0)
-        assert a.merge_from(b) == 0
-        assert a.total_entries == 1
+        assert a.merge_from([(0, 0, 1.0), (0, 1, 2.0), (0, 1, 5.0)]) == 1
+        assert a.entries_of(0) == [(0, 1.0), (1, 2.0)]
 
     def test_merge_size_mismatch(self):
-        with pytest.raises(GraphError):
-            LabelStore(1).merge_from(LabelStore(2))
+        # An entry for a vertex beyond the store's size.
+        with pytest.raises(GraphError, match="vertex"):
+            LabelStore(1).merge_from([(1, 0, 1.0)])
 
 
 class TestSerialisation:
@@ -444,7 +440,8 @@ class TestFinalizeFastPath:
 
         monkeypatch.setattr(labels, "_sort_dedup_entries", spy)
         fast = labels._sort_dedup_flat(store.n, store.arena())
-        owner, hubs, dists = store._flat_entries()
+        sizes, hubs, dists = labels._gather(store.arena())
+        owner = np.repeat(np.arange(store.n, dtype=np.int64), sizes)
         full = real(store.n, owner, hubs.astype(np.int64), dists)
         for a, b in zip(fast, full):
             np.testing.assert_array_equal(a, b)

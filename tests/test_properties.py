@@ -14,6 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra_sssp
+from repro.check.invariants import verify_index
+from repro.cluster.parapll import simulate_cluster
+from repro.cluster.runner import run_cluster_threads
 from repro.core import pruned_dijkstra
 from repro.core.index import PLLIndex
 from repro.core.labels import LabelStore
@@ -226,12 +229,16 @@ def test_kernel_matches_reference_loop(graph, seed):
         np.testing.assert_array_equal(a, b)
 
 
+def _serial(graph):
+    return PLLIndex.build(graph)
+
+
 def _threads_static(graph):
     return PLLIndex.build_parallel(graph, 3, policy="static")
 
 
 def _threads_dynamic(graph):
-    return PLLIndex.build_parallel(graph, 3, policy="dynamic")
+    return PLLIndex.build_parallel(graph, 4, policy="dynamic")
 
 
 def _procs2(graph):
@@ -242,14 +249,36 @@ def _simulated(graph):
     return simulate_intra_node(graph, 3, jitter=0.3, seed=3)[0]
 
 
+def _cluster_sim(graph):
+    return simulate_cluster(graph, 2, threads_per_node=2, syncs=2)[0]
+
+
+def _cluster_threads(graph):
+    return run_cluster_threads(graph, 2, syncs=2)
+
+
 @pytest.mark.usefixtures("kernel")
 @pytest.mark.parametrize(
-    "build", [_threads_static, _threads_dynamic, _procs2, _simulated]
+    "build",
+    [
+        _serial, _threads_static, _threads_dynamic, _procs2, _simulated,
+        _cluster_sim, _cluster_threads,
+    ],
 )
 @given(graph=tied_graphs(max_n=10, max_m=20))
 @settings(max_examples=4, deadline=None)
 def test_parallel_builders_with_kernel_are_exact(build, graph):
-    _assert_exact(build(graph), graph)
+    """Query-exact, and every label entry a true distance; only the
+    serial build must be canonical."""
+    index = build(graph)
+    _assert_exact(index, graph)
+    entries = index.store.total_entries
+    report = verify_index(
+        index, graph=graph, samples=entries,
+        strict_minimality=build is _serial,
+    )
+    assert report.ok, report.render()
+    assert report.checked_entries == entries
 
 
 # ----------------------------------------------------------------------
@@ -335,11 +364,8 @@ def test_label_arena_matches_list_model(steps):
                 for v, d in zip(verts, dists):
                     model[v].append((h, d))
             elif op == "merge_from":
-                batch, frozen = args
-                other = LabelStore(_ARENA_N)
-                other.add_delta(batch)
-                if frozen:
-                    other = LabelStore.from_arrays(**other.to_arrays())
+                batch, canonical = args
+                if canonical:
                     runs = [[] for _ in range(_ARENA_N)]
                     for v, h, d in batch:
                         runs[v].append((h, d))
@@ -353,7 +379,7 @@ def test_label_arena_matches_list_model(steps):
                     if h not in {h_ for h_, _ in model[v]}:
                         model[v].append((h, d))
                         added += 1
-                assert store.merge_from(other) == added
+                assert store.merge_from(batch) == added
             elif op == "copy":
                 kept.append((store, [list(run) for run in model]))
                 store = store.copy()

@@ -72,6 +72,20 @@ class TestRecorder:
         assert decisions_a == decisions_b
         assert 20 < sum(decisions_a) < 100  # roughly 30%
 
+    def test_clear_restarts_sampler(self):
+        def serve(rec):
+            with recording(rec):
+                for i in range(1000):
+                    record_query("distance", i, i + 1, 1.0)
+            return rec.sampled, [r["s"] for r in rec.snapshot()]
+
+        fresh = serve(QueryLogRecorder(sample=0.05, seed=3))
+        reused = QueryLogRecorder(sample=0.05, seed=3)
+        serve(reused)
+        reused.clear()
+        assert reused.sampled == 0 and len(reused) == 0
+        assert serve(reused) == fresh
+
     def test_sample_follows_live_config_knob(self):
         rec = QueryLogRecorder()  # no override -> reads the knob
         try:

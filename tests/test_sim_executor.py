@@ -2,10 +2,25 @@
 
 import pytest
 
+from repro import obs
 from repro.baselines.dijkstra import dijkstra_sssp
 from repro.core.serial import build_serial
 from repro.errors import SimulationError
 from repro.sim.executor import IntraNodeSimulator, simulate_intra_node
+
+
+def _sim_root_searches(graph, p):
+    """The ``root_search`` events (simulated clock) of one traced build."""
+    obs.configure(tracing=True)
+    obs.get_tracer().clear()
+    try:
+        simulate_intra_node(graph, p)
+    finally:
+        obs.configure(tracing=False)
+    return [
+        r.attrs for r in obs.get_tracer().records()
+        if r.name == "root_search" and r.attrs["clock"] == "sim"
+    ]
 
 
 class TestSerialEquivalence:
@@ -111,19 +126,14 @@ class TestAccounting:
             assert busy <= run.makespan + 1e-9
 
     def test_schedule_recording(self, random_graph):
-        _idx, run = simulate_intra_node(
-            random_graph, 3, record_schedule=True
-        )
-        assert len(run.schedule) == random_graph.num_vertices
-        for worker, root, start, finish in run.schedule:
-            assert 0 <= worker < 3
-            assert finish > start >= 0
+        events = _sim_root_searches(random_graph, 3)
+        assert len(events) == random_graph.num_vertices
+        for ev in events:
+            assert 0 <= ev["worker"] < 3
+            assert ev["finish"] > ev["start"] >= 0
 
     def test_every_root_executed_once(self, random_graph):
-        _idx, run = simulate_intra_node(
-            random_graph, 5, record_schedule=True
-        )
-        roots = [r for _w, r, _s, _f in run.schedule]
+        roots = [ev["root"] for ev in _sim_root_searches(random_graph, 5)]
         assert sorted(roots) == list(range(random_graph.num_vertices))
 
     def test_per_root_stats_collected(self, random_graph):
