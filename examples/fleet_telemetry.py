@@ -9,9 +9,9 @@ full telemetry plane end to end, in one script:
   ephemeral loopback port, merging into a private registry;
 * two forked worker processes, each running a monitored threaded build
   with a :class:`~repro.obs.relay.RelayClient` shipping
-  ``parapll-telemetry/2`` frames (metric deltas, spans, and the
-  flight-recorder events, ``build_progress`` snapshots included) back
-  to the parent;
+  ``parapll-telemetry/3`` frames (metric deltas, and the
+  flight-recorder events, spans and ``build_progress`` snapshots
+  included) back to the parent;
 * the merged result: fleet-wide counters (sums are exact), one
   stitched Chrome trace with every span attributed by pid/rank, and
   the ``parapll dash`` text frame.

@@ -145,6 +145,8 @@ def verify_index(
             (source, target) pairs.
         seed: RNG seed for both samples (deterministic reports).
         atol: absolute tolerance for float distance comparison.
+            Minimality compares exactly, as the pruning rule does: a
+            label a common hub misses by less than *atol* is needed.
         strict_minimality: fail (not just count) on dominated labels —
             correct for serial builds, which are canonical.
         check_minimality: set False to skip the O(entries × avg-label)
@@ -222,9 +224,7 @@ def verify_index(
                 if h == int(rank[v]):
                     continue  # the self label is never dominated
                 u = int(order[h])  # the hub vertex
-                if _dominated(
-                    store, u, v, h, float(dists_v[i]), atol
-                ):
+                if _dominated(store, u, v, h, float(dists_v[i])):
                     dominated += 1
                     if strict_minimality:
                         bad += 1
@@ -320,9 +320,7 @@ def verify_index(
     return report
 
 
-def _dominated(
-    store, u: int, v: int, h: int, d: float, atol: float
-) -> bool:
+def _dominated(store, u: int, v: int, h: int, d: float) -> bool:
     """True when a common hub with rank < *h* covers (u, v) within *d*."""
     hu, du = store.finalized_hubs(u), store.finalized_dists(u)
     hv, dv = store.finalized_hubs(v), store.finalized_dists(v)
@@ -332,7 +330,7 @@ def _dominated(
         if a >= h or b >= h:
             break  # only hubs ranked earlier than h can dominate
         if a == b:
-            if float(du[i]) + float(dv[j]) <= d + atol:
+            if float(du[i]) + float(dv[j]) <= d:
                 return True
             i += 1
             j += 1

@@ -622,6 +622,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.core.stats import label_cdf, roots_to_reach
     from repro.obs import buildmon as _buildmon
+    from repro.obs import flightrec as _flightrec
 
     if args.graph:
         graph = _load_graph(args.graph)
@@ -631,6 +632,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     obs.reset()
     tracing = args.trace or args.jsonl is not None
     previous = obs.current_config()
+    if tracing:
+        _flightrec.reserve_for_build(graph.num_vertices)
     obs.configure(metrics=True, tracing=tracing)
     monitor = _buildmon.BuildMonitor(total_roots=graph.num_vertices)
     try:
@@ -667,8 +670,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             fh.write(obs.prometheus_text())
         print(f"wrote Prometheus exposition to {args.prom}")
     if args.jsonl:
-        count = obs.write_trace_jsonl(args.jsonl)
-        print(f"wrote {count} trace records to {args.jsonl}")
+        count = obs.get_recorder().dump(args.jsonl, reason="obs")
+        print(f"wrote {count} flight events to {args.jsonl}")
     return 0
 
 
@@ -733,10 +736,27 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     """Capture (or convert) a trace; export Chrome JSON + critical path."""
     from repro import obs
+    from repro.obs import flightrec as _flightrec
     from repro.obs import timeline as _timeline
+    from repro.obs.metrics import ObsError
 
     if args.from_jsonl:
-        records = obs.read_trace_jsonl(args.from_jsonl)
+        header, events = _flightrec.read_dump(
+            args.from_jsonl, _flightrec.FLIGHTREC_SCHEMA
+        )
+        if header is None:
+            raise ObsError(
+                f"{args.from_jsonl}: no {_flightrec.FLIGHTREC_SCHEMA} "
+                "header (write one with parapll obs --jsonl or "
+                "parapll flightrec dump)"
+            )
+        for n, ev in enumerate(events, 1):
+            if not isinstance(ev.get("kind"), str) or not isinstance(
+                ev.get("attrs"), dict
+            ):
+                raise ObsError(
+                    f"{args.from_jsonl}: event {n} has no kind or attrs"
+                )
     else:
         if args.graph:
             graph = _load_graph(args.graph)
@@ -746,6 +766,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             )
         obs.reset()
         previous = obs.current_config()
+        _flightrec.reserve_for_build(graph.num_vertices)
         obs.configure(metrics=True, tracing=True)
         try:
             if args.sim:
@@ -767,16 +788,16 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             obs.configure(
                 metrics=previous.metrics, tracing=previous.tracing
             )
-        records = list(obs.get_tracer().records())
+        events = obs.get_recorder().snapshot()
 
     if args.out:
-        count = _timeline.write_chrome_trace(args.out, records)
+        count = _timeline.write_chrome_trace(args.out, events)
         print(
             f"wrote {count} Chrome trace events to {args.out} "
             "(open in Perfetto or chrome://tracing)"
         )
     try:
-        report = _timeline.analyze_critical_path(records, top_k=args.top)
+        report = _timeline.analyze_critical_path(events, top_k=args.top)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1211,7 +1232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     wr.add_argument(
         "--qlog", required=True, metavar="FILE",
-        help="qlog capture: a write_jsonl dump or a raw --qlog sink",
+        help="qlog capture: a raw --qlog sink (a parapll-qlog/1 header "
+        "line first is accepted)",
     )
     wr.add_argument(
         "--top", type=int, default=10, help="hot-table depth"
@@ -1405,7 +1427,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jsonl",
         default=None,
         metavar="FILE",
-        help="write the JSONL trace to FILE (implies --trace)",
+        help="dump the flight recorder's events, spans included, to FILE "
+        "as parapll-flightrec/1 JSONL (implies --trace)",
     )
     o.set_defaults(func=_cmd_obs)
 
@@ -1473,7 +1496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tsrc.add_argument(
         "--from-jsonl", metavar="FILE",
-        help="convert an existing JSONL trace instead of building",
+        help="convert a parapll-flightrec/1 dump (parapll obs --jsonl, "
+        "a failure auto-dump) instead of building",
     )
     t.add_argument("--scale", type=float, default=1.0)
     t.add_argument("--seed", type=int, default=42)

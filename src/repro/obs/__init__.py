@@ -5,19 +5,20 @@ efficiency, static-vs-dynamic balance, the sync-frequency trade between
 communication and redundant labels.  This package makes those
 quantities observable on *live* runs — real builds, the simulator and
 the TCP serving layer all feed one process-wide metrics registry and
-(opt-in) trace buffer.
+one event ring, the flight recorder's (spans join it when tracing is
+on).
 
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges and
   fixed-bucket histograms with labeled series.
-* :mod:`repro.obs.trace` — structured span/event tracing into a bounded
-  ring buffer (monotonic clocks, thread-local span nesting).
-* :mod:`repro.obs.export` — Prometheus text exposition, JSONL traces,
-  and the human-readable summary behind ``parapll obs``.
+* :mod:`repro.obs.trace` — opt-in span/event tracing onto the flight
+  recorder's ring (monotonic clocks, thread-local span nesting).
+* :mod:`repro.obs.export` — Prometheus text exposition and the
+  human-readable summary behind ``parapll obs``.
 * :mod:`repro.obs.timers` — phase timers and a sampling profiler.
 * :mod:`repro.obs.instruments` — the well-known metric handles the
   instrumented modules bump.
 * :mod:`repro.obs.timeline` — Chrome-trace (Perfetto) export and
-  critical-path analysis of the trace buffer.
+  critical-path analysis of flight events.
 * :mod:`repro.obs.perf` / :mod:`repro.obs.regression` — the
   deterministic fingerprint suite behind ``parapll perf``: recorded
   baselines plus the two-sided changed/unchanged gate.
@@ -27,7 +28,9 @@ the TCP serving layer all feed one process-wide metrics registry and
 * :mod:`repro.obs.context` — cross-rank :class:`TraceContext`
   propagation; communicators stamp it onto every envelope.
 * :mod:`repro.obs.flightrec` — always-on ring buffer of the last N
-  structured events, dumped to JSONL on failures / ``SIGUSR1``.
+  structured events (spans included when tracing), dumped to JSONL on
+  failures / ``SIGUSR1``; the one writer and reader of every
+  ``parapll-*/1`` JSONL dump.
 * :mod:`repro.obs.buildmon` — live build monitor: per-root telemetry
   from the serial/thread/sim/cluster builders as roots commit, emitted
   as ``parapll-buildmon/1`` progress snapshots (ETA, labels/sec,
@@ -36,8 +39,8 @@ the TCP serving layer all feed one process-wide metrics registry and
   label-size distribution, hub-coverage concentration, dominated-entry
   detection and memory attribution as a ``parapll-audit/1`` report.
 * :mod:`repro.obs.qlog` — sampled query-log capture of serve-path
-  traffic (``parapll-qlog/1``): a bounded ring + optional JSONL sink
-  hooked into the oracle and TCP server.
+  traffic (``parapll-qlog/1``) to a JSONL sink, hooked into the oracle
+  and TCP server.
 * :mod:`repro.obs.slo` — sliding-window latency/availability SLOs:
   multi-resolution windowed quantiles, error budgets, burn rates,
   breach events and the server's load-shedding signal.
@@ -45,12 +48,13 @@ the TCP serving layer all feed one process-wide metrics registry and
   Zipf skew fit, hot vertices/pairs, simulated LRU hit-rate curve
   (``parapll-workload/1``).
 * :mod:`repro.obs.bus` / :mod:`repro.obs.relay` — the cross-process
-  telemetry plane (``parapll-telemetry/2``): a socket relay that ships
-  each worker process's metric deltas, spans and flight-recorder ring
-  tail with periodic and at-exit flushes, and a parent-side collector
-  that merges metrics (counters sum, gauges LWW tagged by source,
-  histograms bucket-merge) and stitches spans and events into one
-  fleet-wide Chrome trace — the sensor layer behind ``parapll dash``.
+  telemetry plane (``parapll-telemetry/3``): a socket relay that ships
+  each worker process's metric deltas and flight-recorder ring tail
+  (spans included) with periodic and at-exit flushes, and a
+  parent-side collector that merges metrics (counters sum, gauges LWW
+  tagged by source, histograms bucket-merge) and stitches events into
+  one fleet-wide Chrome trace — the sensor layer behind
+  ``parapll dash``.
 
 Metrics are default-on (cheap counter bumps); tracing is opt-in::
 
@@ -59,7 +63,7 @@ Metrics are default-on (cheap counter bumps); tracing is opt-in::
     obs.configure(tracing=True)
     build_parallel_threads(graph, 4)
     print(obs.render_summary())
-    obs.write_trace_jsonl("build.trace.jsonl")
+    obs.get_recorder().dump("build.trace.jsonl", reason="trace")
 """
 
 from repro.obs.audit import (
@@ -101,13 +105,7 @@ from repro.obs.flightrec import (
     get_recorder,
     install_signal_handler,
 )
-from repro.obs.export import (
-    prometheus_text,
-    read_trace_jsonl,
-    render_summary,
-    trace_to_jsonl,
-    write_trace_jsonl,
-)
+from repro.obs.export import prometheus_text, render_summary
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -141,7 +139,7 @@ from repro.obs.slo import (
     get_tracker,
 )
 from repro.obs.timers import PhaseTimer, SamplingProfiler
-from repro.obs.trace import TraceRecord, Tracer, event, get_tracer, span
+from repro.obs.trace import event, span
 from repro.obs.workload import (
     WORKLOAD_SCHEMA,
     characterize,
@@ -158,18 +156,12 @@ __all__ = [
     "MetricsRegistry",
     "ObsError",
     "get_registry",
-    "TraceRecord",
-    "Tracer",
-    "get_tracer",
     "span",
     "event",
     "PhaseTimer",
     "SamplingProfiler",
     "prometheus_text",
     "render_summary",
-    "trace_to_jsonl",
-    "write_trace_jsonl",
-    "read_trace_jsonl",
     "histogram_quantile",
     "environment_metadata",
     "CriticalPathReport",
@@ -224,7 +216,7 @@ __all__ = [
 
 
 def reset() -> None:
-    """Zero all metrics and drop all trace/SLO/qlog state.
+    """Zero all metrics and drop all event-ring/SLO/qlog state.
 
     Registrations and instrument handles survive — only values are
     cleared.  Intended for tests and for scoping a metrics snapshot to
@@ -233,7 +225,6 @@ def reset() -> None:
     from repro.obs import qlog as _qlog
 
     get_registry().reset()
-    get_tracer().clear()
     get_recorder().clear()
     get_tracker().reset()
     active = _qlog.active()

@@ -67,7 +67,6 @@ def audit_index(
     index,
     coverage_fractions: Sequence[float] = DEFAULT_COVERAGE_FRACTIONS,
     check_dominated: bool = True,
-    atol: float = 1e-9,
     source: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Audit a built :class:`~repro.core.index.PLLIndex`.
@@ -80,8 +79,6 @@ def audit_index(
             scan; disable for very large indexes when only sizes and
             coverage are needed (the report marks the section
             ``checked: false``).
-        atol: float tolerance of the domination predicate (must match
-            the invariant verifier's to keep the two in agreement).
         source: optional provenance string stored in the report (e.g.
             the index path).
 
@@ -148,7 +145,7 @@ def audit_index(
                 if h == rv:
                     continue  # the self label is never dominated
                 d = float(dists_v[i])
-                if _dominated(store, int(order[h]), v, h, d, atol):
+                if _dominated(store, int(order[h]), v, h, d):
                     count += 1
                     if len(examples) < _MAX_EXAMPLES:
                         examples.append(

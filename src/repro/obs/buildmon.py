@@ -49,7 +49,6 @@ That keeps the hot loops free of plumbing and the disabled cost at one
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -366,23 +365,13 @@ class BuildMonitor:
         """
         with self._lock:
             events = list(self.events)
-        header = {
-            "kind": "header",
-            "schema": BUILDMON_SCHEMA,
-            "pid": os.getpid(),
-            "total_roots": self.total_roots,
-            "events": len(events),
-            "dumped_at": time.time(),
-        }
-        lines = [json.dumps(header)]
-        lines.extend(json.dumps(event) for event in events)
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)  # type: ignore[union-attr]
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-                fh.write(text)
-        return len(events)
+        return _flightrec.write_dump(
+            path_or_file,
+            BUILDMON_SCHEMA,
+            events,
+            pid=os.getpid(),
+            total_roots=self.total_roots,
+        )
 
     def render(self, snapshot: Optional[Dict[str, Any]] = None) -> str:
         """One ``parapll top``-style text frame of the build."""

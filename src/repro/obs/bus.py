@@ -1,27 +1,29 @@
 """The telemetry wire format: stream header, frame kinds, metric deltas.
 
-Every observability layer (metrics, traces, the flight recorder) lives
-in module-level in-process state that goes dark across a
+Every observability layer (metrics, the flight recorder and the spans
+it holds) lives in module-level in-process state that goes dark across a
 ``fork``/``spawn`` boundary, the boundary ParaPLL's rank x thread story
 is about.  :mod:`repro.obs.relay` ships that state to a collector in
 another process; this module defines what goes over the wire.
 
 There is no separate event queue.  Producers call
-:func:`repro.obs.flightrec.record`, the flight recorder's ring is the
-process's only event buffer, and the relay reads its tail by ``seq``
-cursor (:class:`~repro.obs.flightrec.RingCursor`).  An event evicted
-from the ring before the relay shipped it is counted as dropped.
+:func:`repro.obs.flightrec.record` (and, with tracing on,
+:mod:`repro.obs.trace` appends spans to the same ring), the flight
+recorder's ring is the process's only event buffer, and the relay reads
+its tail by ``seq`` cursor (:class:`~repro.obs.flightrec.RingCursor`).
+An event evicted from the ring before the relay shipped it is counted
+as dropped.
 
-Wire schema (``parapll-telemetry/2``): a stream of JSON objects.  The
+Wire schema (``parapll-telemetry/3``): a stream of JSON objects.  The
 first is a header identifying the source process::
 
-    {"kind": "header", "schema": "parapll-telemetry/2",
+    {"kind": "header", "schema": "parapll-telemetry/3",
      "pid": 4242, "rank": 1, "capacity": 4096}
 
 ``capacity`` is the source's event-ring size.  Every following object
 is one frame::
 
-    {"kind": "metrics" | "spans" | "events",
+    {"kind": "metrics" | "events",
      "seq": 17, "ts": 1754650000.1, "mono": 12.482,
      "dropped": 0,        # cumulative events evicted before shipping
      "lag": 0.003,        # monotonic age of the oldest event shipped
@@ -31,10 +33,10 @@ is one frame::
   (see :class:`MetricsDelta`); counters and histograms ship increments
   so the collector can merge by summing, gauges ship current values
   for last-write-wins.
-* ``spans`` — :class:`~repro.obs.trace.TraceRecord` dicts.
 * ``events`` — flight-recorder events (``seq``, ``ts``, ``mono``,
   ``kind``, ``thread``, ``attrs``), including the build monitor's
-  ``build_progress`` snapshots.
+  ``build_progress`` snapshots and, with tracing on, spans (which add
+  ``span_id``, ``parent_id`` and ``dur``).
 
 Clock discipline: ``ts`` is wall time, for event timestamps in merged
 output; ``mono`` is monotonic, for every *interval* (lag, flush age).
@@ -60,19 +62,22 @@ __all__ = [
     "stream_header",
 ]
 
-TELEMETRY_SCHEMA = "parapll-telemetry/2"
+TELEMETRY_SCHEMA = "parapll-telemetry/3"
 
 #: The frame kinds the wire schema carries.
-FRAME_KINDS = ("metrics", "spans", "events")
+FRAME_KINDS = ("metrics", "events")
 
 #: An alias, not a second hook: the benchmark ledger's tracer
 #: (``bench/ledger/trace.py``) patches this module attribute by name, so
 #: it must resolve.  Producers call :func:`repro.obs.flightrec.record`.
+#: The alias stays although one event pipeline has no use for it:
+#: deleting it would break that tracer, which lives in the benchmark
+#: tree and changes only together with the benchmark.
 publish_event = _flightrec.record
 
 
 def stream_header(rank: Optional[int], capacity: int) -> Dict[str, Any]:
-    """The ``parapll-telemetry/2`` stream header for this process."""
+    """The ``parapll-telemetry/3`` stream header for this process."""
     return {
         "kind": "header",
         "schema": TELEMETRY_SCHEMA,

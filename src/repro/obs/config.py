@@ -3,11 +3,14 @@
 Metrics (counter bumps) are **default-on**: they cost a handful of lock
 acquisitions per root search / per request, which profiling shows is
 well under the acceptance budget (<10 % on ``build_serial``).  Tracing
-is **opt-in** because span records allocate and the ring buffer retains
-references; enable it with::
+is **opt-in** because span records allocate and the flight recorder's
+ring retains references; enable it with::
 
     from repro import obs
-    obs.configure(tracing=True, trace_capacity=65536)
+    obs.configure(tracing=True)
+
+which also grows the ring to at least
+:data:`repro.obs.flightrec.RING_CAPACITY` events.
 
 Hot call sites read the module-level ``METRICS`` / ``TRACING`` booleans
 directly (one attribute lookup) instead of going through a function, so
@@ -18,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs import flightrec as _flightrec
+
 __all__ = ["ObsConfig", "configure", "current_config"]
 
 #: Fast-path flags, mirrored from the active :class:`ObsConfig`.
 METRICS: bool = True
 TRACING: bool = False
-TRACE_CAPACITY: int = 4096
 QLOG_SAMPLE: float = 1.0
 
 
@@ -34,8 +38,6 @@ class ObsConfig:
     Attributes:
         metrics: whether counter/gauge/histogram updates are recorded.
         tracing: whether spans and events are captured.
-        trace_capacity: ring-buffer size of the global tracer (oldest
-            records are dropped once full).
         qlog_sample: fraction of served queries the query-log recorder
             captures when one is installed (1.0 = every query, 0.0 =
             none; see :mod:`repro.obs.qlog`).
@@ -43,34 +45,32 @@ class ObsConfig:
 
     metrics: bool = True
     tracing: bool = False
-    trace_capacity: int = 4096
     qlog_sample: float = 1.0
 
 
 def configure(
     metrics: bool | None = None,
     tracing: bool | None = None,
-    trace_capacity: int | None = None,
     qlog_sample: float | None = None,
 ) -> ObsConfig:
     """Update the global observability configuration.
 
     Only the arguments passed (non-``None``) are changed.  Returns the
-    resulting configuration snapshot.
+    resulting configuration snapshot.  Turning tracing on grows the
+    flight recorder's ring to at least
+    :data:`~repro.obs.flightrec.RING_CAPACITY`; turning it off leaves
+    the ring as it is, so the spans it holds survive.
 
     Raises:
-        ValueError: for a non-positive trace capacity or a sampling
-            fraction outside ``[0, 1]``.
+        ValueError: for a sampling fraction outside ``[0, 1]``.
     """
-    global METRICS, TRACING, TRACE_CAPACITY, QLOG_SAMPLE
+    global METRICS, TRACING, QLOG_SAMPLE
     if metrics is not None:
         METRICS = bool(metrics)
     if tracing is not None:
         TRACING = bool(tracing)
-    if trace_capacity is not None:
-        if trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
-        TRACE_CAPACITY = int(trace_capacity)
+        if TRACING:
+            _flightrec.get_recorder().reserve(_flightrec.RING_CAPACITY)
     if qlog_sample is not None:
         if not 0.0 <= qlog_sample <= 1.0:
             raise ValueError("qlog_sample must be in [0, 1]")
@@ -83,6 +83,5 @@ def current_config() -> ObsConfig:
     return ObsConfig(
         metrics=METRICS,
         tracing=TRACING,
-        trace_capacity=TRACE_CAPACITY,
         qlog_sample=QLOG_SAMPLE,
     )

@@ -188,7 +188,6 @@ def _open_span_id() -> Optional[int]:
 
     if not _config.TRACING:
         return None
-    from repro.obs.trace import get_tracer
+    from repro.obs import trace as _trace
 
-    stack = get_tracer()._stack()
-    return stack[-1] if stack else None
+    return _trace.open_span_id()

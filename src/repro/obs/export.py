@@ -1,14 +1,14 @@
-"""Exporters: Prometheus text exposition, JSONL traces, text summary.
+"""Exporters: Prometheus text exposition and the text summary.
 
-All output is produced from registry/tracer *snapshots*, so exporting
-never blocks the instrumented hot paths for longer than one series
-read.
+All output is produced from registry *snapshots*, so exporting never
+blocks the instrumented hot paths for longer than one series read.
+Spans and events are dumped by the flight recorder
+(:func:`repro.obs.flightrec.write_dump`).
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import (
     DEFAULT_QUANTILES,
@@ -17,13 +17,9 @@ from repro.obs.metrics import (
     get_registry,
     histogram_quantile,
 )
-from repro.obs.trace import TraceRecord, get_tracer
 
 __all__ = [
     "prometheus_text",
-    "trace_to_jsonl",
-    "write_trace_jsonl",
-    "read_trace_jsonl",
     "render_summary",
 ]
 
@@ -89,60 +85,6 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
                     f"{_format_value(series.value())}"
                 )
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# JSONL traces
-# ----------------------------------------------------------------------
-def trace_to_jsonl(records: Optional[Iterable[TraceRecord]] = None) -> str:
-    """Serialise trace records as one JSON object per line."""
-    if records is None:
-        records = get_tracer().records()
-    return "\n".join(
-        json.dumps(r.to_dict(), sort_keys=True) for r in records
-    ) + ("\n" if records else "")
-
-
-def write_trace_jsonl(
-    path_or_file: Union[str, IO[str]],
-    records: Optional[Iterable[TraceRecord]] = None,
-) -> int:
-    """Write records (default: the global tracer's) as JSONL.
-
-    Returns:
-        The number of records written.
-    """
-    if records is None:
-        records = get_tracer().records()
-    records = list(records)
-    text = trace_to_jsonl(records)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)  # type: ignore[union-attr]
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            fh.write(text)
-    return len(records)
-
-
-def read_trace_jsonl(
-    path_or_lines: Union[str, Iterable[str]],
-) -> List[TraceRecord]:
-    """Parse a JSONL trace back into :class:`TraceRecord` objects.
-
-    Accepts a file path or any iterable of lines; blank lines are
-    skipped.
-    """
-    if isinstance(path_or_lines, str):
-        with open(path_or_lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(path_or_lines)
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(TraceRecord.from_dict(json.loads(line)))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,11 @@ commits, sync rounds, slow queries, failures) that instrumented code
 appends to unconditionally, and that gets dumped to JSONL when things
 go wrong.
 
-The ring is also the process's only event buffer for the telemetry
-relay: a :class:`~repro.obs.relay.RelayClient` reads it through a
+The ring is the process's only event buffer.  With tracing on,
+:mod:`repro.obs.trace` appends spans and instant events to it as well
+(:meth:`FlightRecorder.record_trace`), so a failure dump, the
+telemetry relay and ``parapll timeline`` all read one stream.  A
+:class:`~repro.obs.relay.RelayClient` reads the ring through a
 :class:`RingCursor`, which ships each event once and counts every event
 evicted before it was read.
 
@@ -30,11 +33,13 @@ observing.
 
 Dump format (``parapll-flightrec/1``): one JSON object per line.  The
 first line is a header ``{"kind": "header", "schema":
-"parapll-flightrec/1", "pid", "reason", "events", "capacity",
+"parapll-flightrec/1", "pid", "reason", "capacity", "events",
 "dumped_at"}``; every following line is one event ``{"seq", "ts",
 "mono", "kind", "thread", "attrs"}``, oldest first (``seq`` is a
 process-wide monotone sequence number, ``ts`` unix seconds, ``mono``
-the monotonic clock).
+the monotonic clock); tracing events add ``parent_id``, spans add
+``span_id`` and ``dur``.  Every ``parapll-*/1`` JSONL dump has this
+shape and goes through :func:`write_dump` and :func:`read_dump`.
 """
 
 from __future__ import annotations
@@ -46,23 +51,38 @@ import os
 import threading
 import time
 from collections import deque
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.obs.metrics import ObsError
 
 __all__ = [
     "FLIGHTREC_SCHEMA",
     "DEFAULT_CAPACITY",
+    "RING_CAPACITY",
     "ENV_DIR",
     "FlightRecorder",
     "RingCursor",
     "get_recorder",
     "record",
+    "reserve_for_build",
     "auto_dump",
     "dump_events",
+    "write_text",
+    "write_dump",
+    "read_dump",
     "install_signal_handler",
 ]
 
 FLIGHTREC_SCHEMA = "parapll-flightrec/1"
 DEFAULT_CAPACITY = 512
+
+#: Ring size of a traced or relayed process (tracing and an attaching
+#: relay grow the ring to at least this).
+RING_CAPACITY = 4096
+
+#: Ring events a traced build records per root: ``task_grab``, the
+#: ``root_search`` span and ``label_commit``.
+EVENTS_PER_ROOT = 3
 
 #: Directory for automatic failure dumps; auto-dumping is disabled when
 #: the variable is unset (the in-memory buffer stays queryable).
@@ -100,6 +120,11 @@ class FlightRecorder:
         if capacity != self.capacity:
             self._events = deque(self._events, maxlen=capacity)
 
+    def reserve(self, capacity: int) -> None:
+        """Grow the buffer to at least *capacity* (never shrinks it)."""
+        if capacity > self.capacity:
+            self.set_capacity(capacity)
+
     # ------------------------------------------------------------------
     def record(self, kind: str, **attrs: Any) -> None:
         """Append one event; *attrs* must be JSON-safe."""
@@ -113,6 +138,30 @@ class FlightRecorder:
                 "attrs": attrs,
             }
         )
+
+    def record_trace(
+        self,
+        kind: str,
+        attrs: Dict[str, Any],
+        parent_id: Optional[int],
+        span_id: Optional[int] = None,
+        start: float = 0.0,
+    ) -> None:
+        """Append an instant under span *parent_id* or, with *span_id*,
+        a span closing now that opened at monotonic *start*."""
+        mono = time.monotonic()
+        event = {
+            "seq": next(self._seq),
+            "ts": time.time(),
+            "mono": mono,
+            "kind": kind,
+            "thread": threading.current_thread().name,
+            "attrs": attrs,
+            "parent_id": parent_id,
+        }
+        if span_id is not None:
+            event.update(span_id=span_id, dur=mono - start)
+        self._events.append(event)
 
     def snapshot(self, last: Optional[int] = None) -> List[Dict[str, Any]]:
         """A copy of the buffered events, oldest first.
@@ -202,6 +251,81 @@ class RingCursor:
         return fresh
 
 
+def write_text(
+    path_or_file: Union[str, os.PathLike, IO[str]], text: str
+) -> None:
+    """Write *text* to an open file object or to a path."""
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)  # type: ignore[union-attr]
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
+            fh.write(text)
+
+
+def write_dump(
+    path_or_file: Union[str, os.PathLike, IO[str]],
+    schema: str,
+    records: List[Dict[str, Any]],
+    **fields: Any,
+) -> int:
+    """Write a ``parapll-*/1`` dump: a header line, then one record per
+    line; returns the record count.
+
+    The header is ``{"kind": "header", "schema": schema, **fields,
+    "events": len(records), "dumped_at": <unix seconds>}``.
+    """
+    header = {"kind": "header", "schema": schema, **fields}
+    header.update(events=len(records), dumped_at=time.time())
+    lines = [json.dumps(header)]
+    lines.extend(json.dumps(rec) for rec in records)
+    write_text(path_or_file, "\n".join(lines) + "\n")
+    return len(records)
+
+
+def read_dump(
+    path_or_lines: Union[str, Iterable[str]], schema: str
+) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
+    """Parse a ``parapll-*/1`` dump into ``(header, records)``.
+
+    The header is optional (a raw qlog sink has none; *header* is then
+    ``None``); when present its schema must be *schema*.  Blank lines
+    are skipped; every other line must be a JSON object.
+
+    Raises:
+        ObsError: naming the file and line of a line that is not JSON,
+            not an object, or a header of another schema.
+    """
+    if isinstance(path_or_lines, str):
+        name = path_or_lines
+        with open(path_or_lines, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    else:
+        name = "<lines>"
+        lines = list(path_or_lines)
+    header: Optional[Dict[str, Any]] = None
+    records: List[Dict[str, Any]] = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:
+            raise ObsError(f"{name}:{lineno}: not JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ObsError(f"{name}:{lineno}: not a JSON object")
+        if doc.get("kind") != "header":
+            records.append(doc)
+        elif doc.get("schema") != schema:
+            raise ObsError(
+                f"{name}:{lineno}: header schema {doc.get('schema')!r}, "
+                f"expected {schema!r}"
+            )
+        elif header is None:
+            header = doc
+    return header, records
+
+
 def dump_events(
     events: List[Dict[str, Any]],
     path_or_file: Union[str, os.PathLike, IO[str]],
@@ -209,30 +333,20 @@ def dump_events(
     pid: Optional[int] = None,
     capacity: Optional[int] = None,
 ) -> int:
-    """Write any event list in the ``parapll-flightrec/1`` dump format.
+    """Write any event list as a ``parapll-flightrec/1`` dump.
 
     Used by :meth:`FlightRecorder.dump` and by ``parapll flightrec
     dump`` when the events came over the wire from another process's
     recorder (the server's ``debug`` op).
     """
-    header = {
-        "kind": "header",
-        "schema": FLIGHTREC_SCHEMA,
-        "pid": pid,
-        "reason": reason,
-        "events": len(events),
-        "capacity": capacity,
-        "dumped_at": time.time(),
-    }
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(event) for event in events)
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)  # type: ignore[union-attr]
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            fh.write(text)
-    return len(events)
+    return write_dump(
+        path_or_file,
+        FLIGHTREC_SCHEMA,
+        events,
+        pid=pid,
+        reason=reason,
+        capacity=capacity,
+    )
 
 
 _global_recorder = FlightRecorder()
@@ -247,6 +361,12 @@ def get_recorder() -> FlightRecorder:
 def record(kind: str, **attrs: Any) -> None:
     """Append one event to the process-wide recorder."""
     _global_recorder.record(kind, **attrs)
+
+
+def reserve_for_build(roots: int) -> None:
+    """Grow the process ring so a traced build of *roots* roots keeps
+    every per-root event, with :data:`RING_CAPACITY` left for the rest."""
+    _global_recorder.reserve(RING_CAPACITY + EVENTS_PER_ROOT * roots)
 
 
 def auto_dump(

@@ -254,17 +254,20 @@ _LANE_KEYS = ("lane", "tasks", "busy", "lock_wait", "idle")
 def _wl_sim_build_timeline(ctx: PerfContext) -> Dict[str, Any]:
     """Traced sim build reduced to per-worker fractions (JSON-safe)."""
     from repro import obs
+    from repro.obs.flightrec import reserve_for_build
     from repro.obs.timeline import analyze_critical_path
 
     previous = obs.current_config()
-    obs.get_tracer().clear()
+    recorder = obs.get_recorder()
+    recorder.clear()
+    reserve_for_build(ctx.graph.num_vertices)
     obs.configure(tracing=True)
     try:
         _wl_sim_build(ctx)
         report = analyze_critical_path(task_names=("root_search",))
     finally:
         obs.configure(tracing=previous.tracing)
-        obs.get_tracer().clear()
+        recorder.clear()
     return {
         "makespan_sim_seconds": report.makespan,
         "chain_tasks": len(report.chain),

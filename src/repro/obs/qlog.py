@@ -5,10 +5,11 @@ have EXPLAIN, but until now nothing captured the **traffic itself** —
 which pairs arrive, how often, how fast they were answered, whether the
 cache helped.  That stream is what workload characterization
 (:mod:`repro.obs.workload`), replay (:mod:`repro.service.replay`) and
-any future shard/replica placement policy consume, so it gets the same
-treatment as the flight recorder: a bounded in-memory ring written with
-GIL-atomic operations only, plus an optional append-only JSONL sink for
-durable capture.
+any future shard/replica placement policy consume.  The recorder keeps
+no buffer of its own: each sampled record goes to an append-only JSONL
+sink (``parapll serve --qlog``).  Nor do records go onto the flight
+recorder's ring — at serving rates they would evict every post-mortem
+event from it.
 
 One record per sampled query::
 
@@ -43,9 +44,10 @@ None`` test — the same discipline as :mod:`repro.obs.buildmon` — and
 that cost is gated by the ``qlog`` row of the ``hook_overhead`` perf
 workload.
 
-Dump format (``parapll-qlog/1``): a header line ``{"kind": "header",
-"schema": "parapll-qlog/1", "pid", "records", "capacity", "sampled",
-"dumped_at"}`` followed by one record per line, oldest first.
+Capture format (``parapll-qlog/1``): one record per line, oldest
+first.  :func:`read_qlog` reads it with the one dump reader
+(:func:`repro.obs.flightrec.read_dump`), which also accepts a
+``parapll-qlog/1`` header line first.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ from contextlib import contextmanager
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs import config as _config
+from repro.obs import flightrec as _flightrec
+from repro.obs.metrics import ObsError
 
 __all__ = [
     "QLOG_SCHEMA",
-    "DEFAULT_CAPACITY",
     "QueryLogRecorder",
     "active",
     "install",
@@ -76,30 +79,12 @@ __all__ = [
 ]
 
 QLOG_SCHEMA = "parapll-qlog/1"
-DEFAULT_CAPACITY = 65536
-
-#: The record fields, in emission order (also the wire schema).
-RECORD_FIELDS = (
-    "seq",
-    "ts",
-    "mono",
-    "op",
-    "s",
-    "t",
-    "latency_us",
-    "cache_hit",
-    "entries_scanned",
-    "outcome",
-    "req_id",
-)
 
 
 class QueryLogRecorder:
-    """A bounded ring of sampled query records with an optional sink.
+    """A seeded query sampler writing sampled records to a sink.
 
     Args:
-        capacity: ring size; the oldest records are evicted once full
-            (the sink, when given, still sees every sampled record).
         sample: sampling fraction override; ``None`` reads the live
             ``configure(qlog_sample=...)`` knob on every decision so a
             running server can be re-tuned without a restart.
@@ -108,25 +93,21 @@ class QueryLogRecorder:
         seed: seed for the sampling RNG — a fixed seed over a fixed
             arrival order captures the same subset every run.
 
-    Thread safety: ring appends use only GIL-atomic deque operations;
-    the sink write is serialized by a small lock (sampled records only,
-    never the unsampled fast path).
+    Without a sink, sampled records are counted in :attr:`sampled` and
+    returned by :meth:`record`, nothing more.
+
+    Thread safety: the sink write is serialized by a small lock
+    (sampled records only, never the unsampled fast path).
     """
 
     def __init__(
         self,
-        capacity: int = DEFAULT_CAPACITY,
         sample: Optional[float] = None,
         sink: Union[str, os.PathLike, IO[str], None] = None,
         seed: int = 0,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         if sample is not None and not 0.0 <= sample <= 1.0:
             raise ValueError("sample must be in [0, 1]")
-        from collections import deque
-
-        self._records: "deque" = deque(maxlen=capacity)
         self._seq = itertools.count(1)
         self._sample = sample
         self._seed = seed
@@ -143,11 +124,6 @@ class QueryLogRecorder:
                 self._sink_owned = True
 
     # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        """Ring-buffer size."""
-        return self._records.maxlen or 0
-
     @property
     def sample(self) -> float:
         """The effective sampling fraction right now."""
@@ -175,7 +151,8 @@ class QueryLogRecorder:
         outcome: str = "ok",
         req_id: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Append one (already sampled) query record; returns it."""
+        """Count one (already sampled) query record, write it to the
+        sink, and return it."""
         rec = {
             "seq": next(self._seq),
             "ts": time.time(),
@@ -189,7 +166,6 @@ class QueryLogRecorder:
             "outcome": outcome,
             "req_id": req_id,
         }
-        self._records.append(rec)
         self.sampled += 1
         if self._sink is not None:
             line = json.dumps(rec) + "\n"
@@ -197,23 +173,12 @@ class QueryLogRecorder:
                 self._sink.write(line)
         return rec
 
-    def snapshot(self, last: Optional[int] = None) -> List[Dict[str, Any]]:
-        """A copy of the ring, oldest first (newest *last* when given)."""
-        records = list(self._records)
-        if last is not None and last >= 0:
-            records = records[-last:] if last else []
-        return records
-
     def clear(self) -> None:
-        """Drop the buffered records and restart the sampler: a cleared
-        recorder samples what a fresh one with the same seed would.
-        ``seq`` keeps counting, and the sink is untouched."""
-        self._records.clear()
+        """Restart the sampler: a cleared recorder samples what a fresh
+        one with the same seed would.  ``seq`` keeps counting, and the
+        sink is untouched."""
         self.sampled = 0
         self._rng.seed(self._seed)
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -231,64 +196,26 @@ class QueryLogRecorder:
                     self._sink.close()
                 self._sink = None
 
-    def write_jsonl(
-        self, path_or_file: Union[str, os.PathLike, IO[str]]
-    ) -> int:
-        """Write header + ring contents as ``parapll-qlog/1`` JSONL.
-
-        Returns:
-            The number of records written (header excluded).
-        """
-        records = self.snapshot()
-        header = {
-            "kind": "header",
-            "schema": QLOG_SCHEMA,
-            "pid": os.getpid(),
-            "records": len(records),
-            "capacity": self.capacity,
-            "sampled": self.sampled,
-            "dumped_at": time.time(),
-        }
-        lines = [json.dumps(header)]
-        lines.extend(json.dumps(rec) for rec in records)
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)  # type: ignore[union-attr]
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-                fh.write(text)
-        return len(records)
-
 
 def read_qlog(path_or_lines: Union[str, List[str]]) -> List[Dict[str, Any]]:
-    """Parse ``parapll-qlog/1`` JSONL back into record dicts.
+    """Parse a ``parapll-qlog/1`` capture back into record dicts.
 
-    Accepts a dump produced by :meth:`QueryLogRecorder.write_jsonl`
-    (header first) or a raw sink file (no header).  Blank lines are
-    skipped; a header from a different schema is rejected.
+    Accepts a raw sink file or a capture with a ``parapll-qlog/1``
+    header first.  Blank lines are skipped.
 
     Raises:
-        ValueError: for an unknown schema header.
+        ObsError: naming the file and line of a header from another
+            schema or of a line that is not a JSON object, or the
+            record that lacks an integer ``s`` or ``t``.
     """
-    if isinstance(path_or_lines, str):
-        with open(path_or_lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(path_or_lines)
-    out: List[Dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        doc = json.loads(line)
-        if doc.get("kind") == "header":
-            if doc.get("schema") != QLOG_SCHEMA:
-                raise ValueError(
-                    f"not a {QLOG_SCHEMA} capture: {doc.get('schema')!r}"
-                )
-            continue
-        out.append(doc)
-    return out
+    records = _flightrec.read_dump(path_or_lines, QLOG_SCHEMA)[1]
+    for n, rec in enumerate(records, 1):
+        if not all(isinstance(rec.get(k), int) for k in ("s", "t")):
+            name = (
+                path_or_lines if isinstance(path_or_lines, str) else "<lines>"
+            )
+            raise ObsError(f"{name}: record {n} has no integer s and t")
+    return records
 
 
 # ----------------------------------------------------------------------

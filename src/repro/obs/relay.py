@@ -2,11 +2,11 @@
 
 :mod:`repro.obs.bus` defines the frames; this module moves them.  A
 worker process creates a :class:`RelayClient` pointing at the parent's
-:class:`Collector` and from then on its metrics, spans and
-flight-recorder events stream over a TCP connection as
-``parapll-telemetry/2`` JSONL — one JSON object per line, header
-first.  The collector merges everything into the parent's registry and
-trace state with defined semantics:
+:class:`Collector` and from then on its metrics and flight-recorder
+events (spans included, when tracing is on) stream over a TCP
+connection as ``parapll-telemetry/3`` JSONL — one JSON object per line,
+header first.  The collector merges everything into the parent's
+registry and one event list with defined semantics:
 
 * **counters sum** — children ship deltas (:class:`~repro.obs.bus
   .MetricsDelta`), the collector ``inc()``\\ s the same-named series, so
@@ -18,9 +18,10 @@ trace state with defined semantics:
 * **histograms bucket-merge** — per-bucket counts, sum and count add
   via :func:`~repro.obs.metrics.merge_histogram_snapshot`, refusing
   mismatched bucket layouts;
-* **spans and events stitch** — records gain ``pid``/``rank`` attrs
-  and a ``<source>:`` thread prefix so every process gets its own lanes
-  in one Chrome trace (:meth:`Collector.write_chrome_trace`).
+* **events stitch** — each event is tagged with its ``source``, gains
+  ``pid``/``rank`` attrs and a ``<source>:`` thread and worker prefix,
+  so every process gets its own lanes in one Chrome trace
+  (:meth:`Collector.write_chrome_trace`).
 
 Failure modes (exercised in ``tests/test_telemetry.py``):
 
@@ -67,11 +68,9 @@ from repro.obs.metrics import (
     get_registry,
     merge_histogram_snapshot,
 )
-from repro.obs.trace import TraceRecord, get_tracer
 
 __all__ = [
     "DEFAULT_FLUSH_INTERVAL",
-    "RING_CAPACITY",
     "RelayClient",
     "Collector",
     "render_fleet",
@@ -79,15 +78,9 @@ __all__ = [
 
 DEFAULT_FLUSH_INTERVAL = 0.25
 
-#: Event-ring size of a relayed process.  A client grows the flight
-#: recorder to this on attach; processes without a relay keep the
-#: recorder's smaller default.
-RING_CAPACITY = 4096
-
-#: Stitched trace records and event lists are bounded so a chatty fleet
-#: cannot grow the parent without limit.
-DEFAULT_MAX_RECORDS = 65_536
-DEFAULT_MAX_EVENTS = 8_192
+#: The merged event list is bounded so a chatty fleet cannot grow the
+#: parent without limit.
+DEFAULT_MAX_EVENTS = 65_536
 
 #: Telemetry-health instrument names (declared in
 #: :mod:`repro.obs.instruments` for the README table; the collector
@@ -104,17 +97,16 @@ class RelayClient:
     """Ships this process's telemetry to a :class:`Collector`.
 
     On construction the client connects, grows the process's flight
-    recorder to :data:`RING_CAPACITY`, writes the stream header and
+    recorder to :data:`~repro.obs.flightrec.RING_CAPACITY`, writes the
+    stream header and
     starts a daemon flush thread; from then on every ``flush_interval``
     seconds (and once more at exit, via ``atexit``) it sends one JSONL
     batch of
 
     * metric deltas from *registry* (counters/histograms as increments,
-      gauges as current values),
-    * trace records not yet shipped (tracked by ``span_id`` against the
-      ring content, so re-flushes never duplicate), and
-    * flight-recorder events recorded since the client attached, read
-      by :class:`~repro.obs.flightrec.RingCursor`.
+      gauges as current values), and
+    * flight-recorder events (spans included) recorded since the client
+      attached, read by :class:`~repro.obs.flightrec.RingCursor`.
 
     A send failure marks the client dead — telemetry degrades, the
     workload does not.
@@ -122,7 +114,7 @@ class RelayClient:
     Args:
         host / port: the collector's listen address.
         rank: optional rank id stamped into the stream header (and onto
-            stitched spans at the collector).
+            stitched events at the collector).
         registry: registry to collect deltas from (default process-wide).
         flush_interval: seconds between periodic flushes.
         connect_timeout: seconds to wait for the collector to accept.
@@ -143,7 +135,6 @@ class RelayClient:
         self.rank = rank
         self.flush_interval = flush_interval
         self._delta = MetricsDelta(registry)
-        self._shipped_spans: set = set()
         self._frame_seq = itertools.count(1)
         self.frames_sent = 0
         self.flushes = 0
@@ -157,8 +148,7 @@ class RelayClient:
         )
         self._sock.settimeout(connect_timeout)
         recorder = _flightrec.get_recorder()
-        if recorder.capacity < RING_CAPACITY:
-            recorder.set_capacity(RING_CAPACITY)
+        recorder.reserve(_flightrec.RING_CAPACITY)
         self._cursor = _flightrec.RingCursor(recorder)
         self._send_line(json.dumps(stream_header(rank, recorder.capacity)))
 
@@ -181,18 +171,11 @@ class RelayClient:
                 return
 
     def _gather_locked(self) -> List[Dict[str, Any]]:
-        """One batch: metric deltas, fresh spans, fresh ring events."""
+        """One batch: metric deltas and fresh ring events."""
         batch: List[Tuple[str, List[Dict[str, Any]]]] = []
         deltas = self._delta.collect()
         if deltas:
             batch.append(("metrics", deltas))
-        records = get_tracer().records()
-        fresh = [r for r in records if r.span_id not in self._shipped_spans]
-        # Reset to the ring's current content: evicted ids fall out, so
-        # the set stays bounded by the tracer capacity.
-        self._shipped_spans = {r.span_id for r in records}
-        if fresh:
-            batch.append(("spans", [r.to_dict() for r in fresh]))
         events = self._cursor.read()
         mono = time.monotonic()
         lag = 0.0
@@ -286,8 +269,7 @@ class Collector:
         registry: registry merged into (default process-wide).  Give
             the collector a private registry when a :class:`RelayClient`
             runs in the same process.
-        max_records: cap on stitched trace records (oldest evicted).
-        max_events: cap on retained events.
+        max_events: cap on retained events (oldest evicted).
     """
 
     def __init__(
@@ -296,7 +278,6 @@ class Collector:
         port: int = 0,
         *,
         registry: Optional[MetricsRegistry] = None,
-        max_records: int = DEFAULT_MAX_RECORDS,
         max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
         self.registry = registry if registry is not None else get_registry()
@@ -307,13 +288,11 @@ class Collector:
         self._accept_thread: Optional[threading.Thread] = None
         self._readers: List[threading.Thread] = []
         self._conn_ids = itertools.count(1)
-        self._event_ids = itertools.count(1)
         #: source id -> health/stats dict (see :meth:`stats`).
         self.sources: Dict[str, Dict[str, Any]] = {}
         #: source id -> attrs of its latest ``build_progress`` event.
         self.progress: Dict[str, Dict[str, Any]] = {}
         self.gauge_sources: Dict[Tuple[str, Tuple[str, ...]], str] = {}
-        self._records: deque = deque(maxlen=max_records)
         self._events: deque = deque(maxlen=max_events)
         self.malformed = 0
         self.merge_errors = 0
@@ -373,19 +352,19 @@ class Collector:
                         continue
                     try:
                         doc = json.loads(line)
-                    except ValueError:
-                        # Partial frame: a child died mid-write.  Count
-                        # it, keep everything already merged.
-                        with self._lock:
-                            self.malformed += 1
-                        continue
-                    if doc.get("kind") == "header":
+                    except ValueError:  # a child died mid-write
+                        doc = None
+                    kind = doc.get("kind") if isinstance(doc, dict) else None
+                    if kind == "header":
                         source = self._register_source(doc, conn_id)
-                    elif source is None:
+                    elif isinstance(kind, str) and source is not None:
+                        self._ingest(source, doc)
+                    else:
+                        # Not a frame (a partial line, a bare array, a
+                        # non-string kind) or a frame before the header:
+                        # count it, keep everything already merged.
                         with self._lock:
                             self.malformed += 1
-                    else:
-                        self._ingest(source, doc)
         except OSError:  # pragma: no cover - abrupt disconnect
             pass
         finally:
@@ -415,8 +394,8 @@ class Collector:
 
     # ------------------------------------------------------------------
     def _ingest(self, source: str, frame: Dict[str, Any]) -> None:
-        kind = frame.get("kind")
-        payload = frame.get("payload")
+        kind = frame["kind"]
+        payload = frame.get("payload", [])
         with self._lock:
             stats = self.sources[source]
             stats["frames"] += 1
@@ -437,12 +416,12 @@ class Collector:
             self._lag_gauge.labels(source=source).set(
                 stats["max_lag_seconds"]
             )
-            if kind == "metrics":
-                self._merge_metrics(source, payload or [])
-            elif kind == "spans":
-                self._stitch_spans(stats, source, payload or [])
+            if not isinstance(payload, list):
+                self.malformed += 1
+            elif kind == "metrics":
+                self._merge_metrics(source, payload)
             elif kind == "events":
-                self._stitch_events(stats, source, payload or [])
+                self._stitch_events(stats, source, payload)
             else:
                 self.malformed += 1
 
@@ -484,33 +463,10 @@ class Collector:
                     )
                 else:
                     self.merge_errors += 1
-            except (ObsError, KeyError, TypeError, ValueError):
+            except (ObsError, AttributeError, KeyError, TypeError, ValueError):
                 # A malformed or conflicting series must not take the
                 # collector down; it is counted and skipped.
                 self.merge_errors += 1
-
-    def _stitch_spans(
-        self,
-        stats: Dict[str, Any],
-        source: str,
-        payload: List[Dict[str, Any]],
-    ) -> None:
-        for doc in payload:
-            try:
-                rec = TraceRecord.from_dict(doc)
-            except (KeyError, TypeError):
-                self.malformed += 1
-                continue
-            rec.attrs.setdefault("pid", stats["pid"])
-            if stats["rank"] is not None:
-                rec.attrs.setdefault("rank", stats["rank"])
-            # Re-home the lane: both the thread name and any worker id
-            # are namespaced so two processes' "worker 0" stay separate
-            # lanes in the stitched trace.
-            if "worker" in rec.attrs:
-                rec.attrs["worker"] = f"{source}:{rec.attrs['worker']}"
-            rec.thread = f"{source}:{rec.thread}"
-            self._records.append(rec)
 
     def _stitch_events(
         self,
@@ -519,52 +475,44 @@ class Collector:
         payload: List[Dict[str, Any]],
     ) -> None:
         for event in payload:
-            if not isinstance(event, dict) or "kind" not in event:
+            if not isinstance(event, dict) or not isinstance(
+                event.get("kind"), str
+            ):
                 self.malformed += 1
                 continue
-            tagged = dict(event)
-            tagged["source"] = source
-            self._events.append(tagged)
             attrs = dict(event.get("attrs") or {})
             if event["kind"] == "build_progress":
                 self.progress[source] = dict(attrs)
-            attrs["pid"] = stats["pid"]
+            # Re-home the lane: the thread name and any worker id are
+            # namespaced so two processes' "worker 0" stay separate
+            # lanes in the stitched trace.  The event's own pid/rank
+            # attrs, if any, win over the source's.
+            attrs.setdefault("pid", stats["pid"])
             if stats["rank"] is not None:
-                attrs["rank"] = stats["rank"]
+                attrs.setdefault("rank", stats["rank"])
             if "worker" in attrs:
                 attrs["worker"] = f"{source}:{attrs['worker']}"
-            self._records.append(
-                TraceRecord(
-                    name=str(event["kind"]),
-                    kind="event",
-                    ts=float(event.get("mono", 0.0)),
-                    dur=None,
-                    span_id=next(self._event_ids),
-                    parent_id=None,
-                    thread=f"{source}:{event.get('thread', 'main')}",
-                    attrs=attrs,
-                )
+            tagged = dict(event)
+            tagged.update(
+                source=source,
+                thread=f"{source}:{event.get('thread', 'main')}",
+                attrs=attrs,
             )
+            self._events.append(tagged)
 
     # ------------------------------------------------------------------
-    def stitched_records(self) -> List[TraceRecord]:
-        """Merged spans + events from every source, arrival order."""
+    def events(self) -> List[Dict[str, Any]]:
+        """Retained events from every source, arrival order: each tagged
+        with its ``source``, its lanes re-homed and its attrs carrying
+        the source's ``pid`` and ``rank``."""
         with self._lock:
-            return list(self._records)
-
-    def events(self, last: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Retained events from every source, arrival order."""
-        with self._lock:
-            out = list(self._events)
-        if last is not None and last >= 0:
-            out = out[-last:] if last else []
-        return out
+            return list(self._events)
 
     def write_chrome_trace(self, path_or_file: Any) -> int:
         """One Chrome trace of the whole fleet; returns event count."""
         from repro.obs.timeline import write_chrome_trace
 
-        return write_chrome_trace(path_or_file, self.stitched_records())
+        return write_chrome_trace(path_or_file, self.events())
 
     def stats(self) -> Dict[str, Any]:
         """JSON-safe health summary (feeds ``parapll obs`` and the dash)."""
@@ -586,7 +534,6 @@ class Collector:
                 "sources": sources,
                 "frames": sum(s["frames"] for s in sources.values()),
                 "dropped": sum(s["dropped"] for s in sources.values()),
-                "records": len(self._records),
                 "events": len(self._events),
                 "malformed": self.malformed,
                 "merge_errors": self.merge_errors,

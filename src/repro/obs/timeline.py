@@ -1,24 +1,26 @@
-"""Timeline export and critical-path analysis of trace buffers.
+"""Timeline export and critical-path analysis of flight events.
 
-Two consumers of the same :class:`~repro.obs.trace.TraceRecord` stream:
+Two consumers of the same event stream — the flight recorder's ring
+(:mod:`repro.obs.flightrec`), a ``parapll-flightrec/1`` dump of it, or
+a collector's merged fleet events:
 
 * :func:`chrome_trace` converts it into the Chrome Trace Event Format
   (the ``{"traceEvents": [...]}`` JSON that Perfetto and
   ``chrome://tracing`` load), one track per worker thread or simulated
-  core.  Real and simulated records share one schema but run on
+  core.  Real and simulated events share one schema but run on
   different clocks, so they are separated into two trace *processes*
   (``pid`` 1 = wall clock, ``pid`` 2 = simulated seconds) and each
   process's timestamps are rebased to its own origin.
 
-* :func:`analyze_critical_path` reduces the same records to the
+* :func:`analyze_critical_path` reduces the same events to the
   quantities that explain a parallel build's makespan: per-worker
   busy / lock-wait / idle fractions, the longest dependency chain of
   tasks (walking span parentage and commit ordering backwards from the
   last task to finish), and the top-k slowest root searches.
 
-Task extraction understands both record shapes the builders emit:
-span records (``kind == "span"``, wall clock, nested via ``parent_id``)
-and the simulator's ``root_search`` events (``kind == "event"`` with
+Task extraction understands both event shapes the builders emit:
+spans (events with ``dur``, wall clock, ``mono`` at their end, nested
+via ``parent_id``) and the simulator's ``root_search`` events (with
 ``start`` / ``finish`` / ``worker`` attributes and ``clock == "sim"``).
 """
 
@@ -29,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.trace import TraceRecord, get_tracer
+from repro.obs import flightrec as _flightrec
 
 __all__ = [
     "chrome_trace",
@@ -47,18 +49,34 @@ PID_SIM = 2
 
 _US = 1_000_000.0  # seconds -> microseconds
 
-
-def _is_sim(record: TraceRecord) -> bool:
-    return record.attrs.get("clock") == "sim"
+Event = Dict[str, Any]
 
 
-def _sim_bounds(record: TraceRecord) -> Tuple[float, float]:
-    """(start, end) seconds of a simulator event record."""
-    end = float(record.ts)
-    start = float(record.attrs.get("start", end))
-    if "finish" in record.attrs:
-        end = float(record.attrs["finish"])
+def _is_sim(event: Event) -> bool:
+    return event["attrs"].get("clock") == "sim"
+
+
+def _extent(event: Event) -> Optional[Tuple[float, float]]:
+    """(start, end) seconds of a span or a simulator task event, on its
+    own clock domain; ``None`` for an instant."""
+    attrs = event["attrs"]
+    if event.get("dur") is not None:
+        end = float(event["mono"])
+        return end - float(event["dur"]), end
+    if "start" not in attrs:
+        return None
+    end = float(attrs.get("ts", 0.0))
+    start = float(attrs["start"])
+    if "finish" in attrs:
+        end = float(attrs["finish"])
     return min(start, end), max(start, end)
+
+
+def _instant(event: Event) -> float:
+    """When an instant happened, on its own clock domain."""
+    if _is_sim(event) and "ts" in event["attrs"]:
+        return float(event["attrs"]["ts"])
+    return float(event.get("mono", 0.0))
 
 
 @dataclass
@@ -66,16 +84,16 @@ class TimelineTask:
     """One unit of timed work on one lane (worker thread / virtual core).
 
     Attributes:
-        name: record name (``"root_search"``, ``"cluster_sync"``, ...).
+        name: event kind (``"root_search"``, ``"cluster_sync"``, ...).
         lane: display lane, e.g. ``"worker 3"`` or a thread name.
         start: start time, seconds (domain clock).
         end: end time, seconds.
         lock_wait: seconds of the task spent waiting for the commit
             lock (0 when the producer did not record it).
         sim: whether the timestamps are simulated seconds.
-        span_id: originating trace record id.
+        span_id: the span's id (``None`` for a simulator event).
         parent_id: enclosing span id, if any.
-        attrs: the record's attributes (shared, do not mutate).
+        attrs: the event's attributes (shared, do not mutate).
     """
 
     name: str
@@ -84,7 +102,7 @@ class TimelineTask:
     end: float
     lock_wait: float = 0.0
     sim: bool = False
-    span_id: int = 0
+    span_id: Optional[int] = None
     parent_id: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
@@ -94,41 +112,44 @@ class TimelineTask:
         return self.end - self.start
 
 
-def _lane_of(record: TraceRecord) -> str:
-    worker = record.attrs.get("worker")
+def _lane_of(event: Event) -> str:
+    worker = event["attrs"].get("worker")
     if worker is not None:
         return f"worker {worker}"
-    return record.thread or "main"
+    return event.get("thread") or "main"
 
 
-def extract_tasks(records: Iterable[TraceRecord]) -> List[TimelineTask]:
-    """Normalise trace records into :class:`TimelineTask` intervals.
+def _default_events(events: Optional[Iterable[Event]]) -> List[Event]:
+    if events is None:
+        return _flightrec.get_recorder().snapshot()
+    return list(events)
 
-    Spans become tasks directly; simulator ``event`` records carrying
+
+def extract_tasks(events: Iterable[Event]) -> List[TimelineTask]:
+    """Normalise flight events into :class:`TimelineTask` intervals.
+
+    Spans become tasks directly; simulator events carrying
     ``start``/``finish`` attributes (the sim's task-completion marks)
     become tasks on their virtual worker's lane.  Instant events without
     an extent are skipped — they have no duration to account.
     """
     tasks: List[TimelineTask] = []
-    for rec in records:
-        sim = _is_sim(rec)
-        if rec.kind == "span" and rec.dur is not None:
-            start, end = float(rec.ts), float(rec.ts) + float(rec.dur)
-        elif rec.kind == "event" and "start" in rec.attrs:
-            start, end = _sim_bounds(rec)
-        else:
+    for ev in events:
+        extent = _extent(ev)
+        if extent is None:
             continue
+        attrs = ev["attrs"]
         tasks.append(
             TimelineTask(
-                name=rec.name,
-                lane=_lane_of(rec),
-                start=start,
-                end=end,
-                lock_wait=float(rec.attrs.get("lock_wait", 0.0)),
-                sim=sim,
-                span_id=rec.span_id,
-                parent_id=rec.parent_id,
-                attrs=rec.attrs,
+                name=ev["kind"],
+                lane=_lane_of(ev),
+                start=extent[0],
+                end=extent[1],
+                lock_wait=float(attrs.get("lock_wait", 0.0)),
+                sim=_is_sim(ev),
+                span_id=ev.get("span_id"),
+                parent_id=ev.get("parent_id"),
+                attrs=attrs,
             )
         )
     return tasks
@@ -137,29 +158,24 @@ def extract_tasks(records: Iterable[TraceRecord]) -> List[TimelineTask]:
 # ----------------------------------------------------------------------
 # Chrome Trace Event Format
 # ----------------------------------------------------------------------
-def chrome_trace(
-    records: Optional[Iterable[TraceRecord]] = None,
-) -> Dict[str, Any]:
-    """Convert trace records to a Chrome Trace Event Format document.
+def chrome_trace(events: Optional[Iterable[Event]] = None) -> Dict[str, Any]:
+    """Convert flight events to a Chrome Trace Event Format document.
 
-    Defaults to the global tracer's buffer.  The result is a JSON-safe
+    Defaults to the flight recorder's ring.  The result is a JSON-safe
     dict with ``traceEvents`` sorted by timestamp: complete (``"X"``)
     events for everything with an extent, instant (``"i"``) events for
     point marks, plus ``"M"`` metadata naming the processes (wall / sim
     clock domains) and per-lane threads.  Timestamps and durations are
     microseconds, rebased per clock domain so both start near 0.
     """
-    if records is None:
-        records = get_tracer().records()
-    records = list(records)
+    events = _default_events(events)
+    extents = [_extent(ev) for ev in events]
 
     # Rebase each clock domain to its own earliest timestamp.
     origins: Dict[int, float] = {}
-    for rec in records:
-        pid = PID_SIM if _is_sim(rec) else PID_WALL
-        ts = float(rec.ts)
-        if rec.kind == "event" and "start" in rec.attrs:
-            ts = _sim_bounds(rec)[0]
+    for ev, extent in zip(events, extents):
+        pid = PID_SIM if _is_sim(ev) else PID_WALL
+        ts = extent[0] if extent is not None else _instant(ev)
         origins[pid] = min(origins.get(pid, ts), ts)
 
     # Stable lane -> tid assignment per process, in first-seen order.
@@ -171,36 +187,32 @@ def chrome_trace(
             tids[key] = sum(1 for p, _l in tids if p == pid)
         return tids[key]
 
-    events: List[Dict[str, Any]] = []
+    out: List[Dict[str, Any]] = []
     # Cross-rank message stitching: comm_send ("flow": "out") and
-    # comm_recv ("flow": "in") records sharing a flow_id become a
+    # comm_recv ("flow": "in") events sharing a flow_id become a
     # Chrome flow-event arrow from the send point to the recv point.
     flow_sends: Dict[str, Tuple[int, int, float]] = {}
     flow_recvs: List[Tuple[str, int, int, float, int]] = []
-    for rec in records:
-        pid = PID_SIM if _is_sim(rec) else PID_WALL
-        lane = _lane_of(rec)
-        tid = tid_for(pid, lane)
+    for ev, extent in zip(events, extents):
+        attrs = ev["attrs"]
+        pid = PID_SIM if _is_sim(ev) else PID_WALL
+        tid = tid_for(pid, _lane_of(ev))
         args = {
             k: v
-            for k, v in rec.attrs.items()
+            for k, v in attrs.items()
             if isinstance(v, (str, int, float, bool)) or v is None
         }
-        args["span_id"] = rec.span_id
-        if rec.parent_id is not None:
-            args["parent_id"] = rec.parent_id
-        if rec.kind == "span" and rec.dur is not None:
-            ts, dur = float(rec.ts), float(rec.dur)
-            ph = "X"
-        elif rec.kind == "event" and "start" in rec.attrs:
-            start, end = _sim_bounds(rec)
-            ts, dur = start, end - start
+        for key in ("span_id", "parent_id"):
+            if ev.get(key) is not None:
+                args[key] = ev[key]
+        if extent is not None:
+            ts, dur = extent[0], extent[1] - extent[0]
             ph = "X"
         else:
-            ts, dur = float(rec.ts), 0.0
+            ts, dur = _instant(ev), 0.0
             ph = "i"
-        event: Dict[str, Any] = {
-            "name": rec.name,
+        item: Dict[str, Any] = {
+            "name": ev["kind"],
             "ph": ph,
             "ts": round((ts - origins[pid]) * _US, 3),
             "dur": round(dur * _US, 3),
@@ -209,83 +221,59 @@ def chrome_trace(
             "args": args,
         }
         if ph == "i":
-            event["s"] = "t"  # thread-scoped instant
-        events.append(event)
-        flow = rec.attrs.get("flow")
-        flow_id = rec.attrs.get("flow_id")
+            item["s"] = "t"  # thread-scoped instant
+        out.append(item)
+        flow = attrs.get("flow")
+        flow_id = attrs.get("flow_id")
         if flow_id is not None:
             if flow == "out":
-                flow_sends[flow_id] = (pid, tid, event["ts"])
+                flow_sends[flow_id] = (pid, tid, item["ts"])
             elif flow == "in":
-                flow_recvs.append(
-                    (flow_id, pid, tid, event["ts"], rec.span_id)
-                )
+                flow_recvs.append((flow_id, pid, tid, item["ts"], ev["seq"]))
     # Emit one flow arrow per delivered message.  Broadcast/allgather
     # sends fan out to several receivers, so the edge id is
-    # flow_id + receiver (Chrome flow ids must be unique per arrow).
-    for flow_id, pid, tid, ts, span_id in flow_recvs:
+    # flow_id + the receive event's seq (Chrome flow ids must be unique
+    # per arrow).
+    for flow_id, pid, tid, ts, seq in flow_recvs:
         send = flow_sends.get(flow_id)
         if send is None:
             continue
         s_pid, s_tid, s_ts = send
-        edge = f"{flow_id}>{span_id}"
-        events.append(
-            {
-                "name": "comm",
-                "cat": "comm",
-                "ph": "s",
-                "id": edge,
-                "ts": s_ts,
-                "dur": 0,
-                "pid": s_pid,
-                "tid": s_tid,
-                "args": {"flow_id": flow_id},
-            }
+        arrow = {
+            "name": "comm",
+            "cat": "comm",
+            "id": f"{flow_id}>{seq}",
+            "dur": 0,
+            "args": {"flow_id": flow_id},
+        }
+        out.append(dict(arrow, ph="s", ts=s_ts, pid=s_pid, tid=s_tid))
+        out.append(
+            dict(arrow, ph="f", bp="e", ts=max(ts, s_ts), pid=pid, tid=tid)
         )
-        events.append(
-            {
-                "name": "comm",
-                "cat": "comm",
-                "ph": "f",
-                "bp": "e",
-                "id": edge,
-                "ts": max(ts, s_ts),
-                "dur": 0,
-                "pid": pid,
-                "tid": tid,
-                "args": {"flow_id": flow_id},
-            }
-        )
-    events.sort(key=lambda e: (e["pid"], e["ts"], e["tid"]))
+    out.sort(key=lambda e: (e["pid"], e["ts"], e["tid"]))
 
-    meta: List[Dict[str, Any]] = []
+    def meta(name: str, pid: int, tid: int, label: str) -> Dict[str, Any]:
+        return {
+            "name": name,
+            "ph": "M",
+            "ts": 0,
+            "dur": 0,
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": label},
+        }
+
     names = {PID_WALL: "parapll (wall clock)", PID_SIM: "parapll (simulated)"}
-    for pid in sorted({p for p, _l in tids}):
-        meta.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "ts": 0,
-                "dur": 0,
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": names[pid]},
-            }
-        )
-    for (pid, lane), tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        meta.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "ts": 0,
-                "dur": 0,
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": lane},
-            }
-        )
+    meta_events = [
+        meta("process_name", pid, 0, names[pid])
+        for pid in sorted({p for p, _l in tids})
+    ]
+    meta_events.extend(
+        meta("thread_name", pid, tid, lane)
+        for (pid, lane), tid in sorted(tids.items(), key=lambda kv: kv[1])
+    )
     return {
-        "traceEvents": meta + events,
+        "traceEvents": meta_events + out,
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.obs.timeline", "schema": "chrome-trace/1"},
     }
@@ -293,16 +281,11 @@ def chrome_trace(
 
 def write_chrome_trace(
     path_or_file: Union[str, IO[str]],
-    records: Optional[Iterable[TraceRecord]] = None,
+    events: Optional[Iterable[Event]] = None,
 ) -> int:
     """Write a Chrome trace JSON file; returns the trace-event count."""
-    doc = chrome_trace(records)
-    text = json.dumps(doc, indent=1)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)  # type: ignore[union-attr]
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            fh.write(text)
+    doc = chrome_trace(events)
+    _flightrec.write_text(path_or_file, json.dumps(doc, indent=1))
     return len(doc["traceEvents"])
 
 
@@ -365,7 +348,7 @@ def _dependency_chain(tasks: List[TimelineTask]) -> List[TimelineTask]:
     """
     if not tasks:
         return []
-    by_id = {t.span_id: t for t in tasks}
+    by_id = {t.span_id: t for t in tasks if t.span_id is not None}
     by_end = sorted(tasks, key=lambda t: t.end)
     ends = [t.end for t in by_end]
     current = max(tasks, key=lambda t: t.end)
@@ -450,38 +433,36 @@ def _drop_containers(tasks: List[TimelineTask]) -> List[TimelineTask]:
 
 
 def analyze_critical_path(
-    records: Optional[Iterable[TraceRecord]] = None,
+    events: Optional[Iterable[Event]] = None,
     top_k: int = 5,
     task_names: Optional[Iterable[str]] = None,
 ) -> CriticalPathReport:
-    """Analyse a trace buffer into a :class:`CriticalPathReport`.
+    """Analyse flight events into a :class:`CriticalPathReport`.
 
     Args:
-        records: trace records (defaults to the global tracer).  When
-            the buffer holds both wall-clock and simulated records the
+        events: flight events (defaults to the flight recorder's ring).
+            When they hold both wall-clock and simulated events the
             simulated domain is analysed (it is the one with scheduling
-            semantics; pre-filter the records to override).
+            semantics; pre-filter the events to override).
         top_k: how many slowest tasks to report.
-        task_names: restrict the analysis to these record names
+        task_names: restrict the analysis to these event kinds
             (default: every record with an extent, minus enclosing
             whole-build spans, which would otherwise count one lane as
             100% busy).
 
     Raises:
-        ValueError: when the records contain no analysable tasks.
+        ValueError: when the events contain no analysable tasks.
     """
-    if records is None:
-        records = get_tracer().records()
-    tasks = extract_tasks(records)
+    tasks = extract_tasks(_default_events(events))
     if any(t.sim for t in tasks):
         tasks = [t for t in tasks if t.sim]
     if task_names is not None:
         wanted = set(task_names)
         tasks = [t for t in tasks if t.name in wanted]
-    else:
+    elif tasks:
         tasks = _drop_containers(tasks)
     if not tasks:
-        raise ValueError("no timed tasks in the trace buffer")
+        raise ValueError("no timed tasks in the events")
 
     t0 = min(t.start for t in tasks)
     t1 = max(t.end for t in tasks)

@@ -1,19 +1,25 @@
-"""Structured span/event tracing with a bounded in-memory ring buffer.
+"""Spans and instant events, recorded on the flight recorder's ring.
 
 A **span** covers an interval (a root search, a sync round, a request);
-an **event** marks an instant.  Both become :class:`TraceRecord`\\ s in
-a ``deque(maxlen=capacity)`` ring buffer — old records are dropped, the
-tracer never grows without bound.  Timestamps come from
-``time.monotonic()`` (wall clock), except that callers may pass an
-explicit ``ts`` — the discrete-event simulator does, stamping records
-with *simulated* seconds so real and simulated builds share one schema
-(see DESIGN.md §7).
+an **event** marks an instant.  With tracing on, both are appended to
+the process's flight-recorder ring (:mod:`repro.obs.flightrec`) as
+ordinary flight events, so a failure dump, the telemetry relay and
+``parapll timeline`` read one stream.  A span is appended when it
+closes, taking its ``seq`` then like every other event; its event
+carries ``dur`` (``mono`` is its end), its ``span_id`` and its
+``parent_id``.  An instant event carries the ``parent_id`` of the
+innermost open span.
 
-Parentage is tracked with a thread-local span stack: spans opened on
-the same thread nest; events attach to the innermost open span.  The
-module-level :func:`span` / :func:`event` helpers are the instrumented
-code's entry points — they are no-ops (one boolean check) unless
-tracing was enabled via :func:`repro.obs.configure`.
+Parentage is tracked with a thread-local stack of open span ids, drawn
+from a per-process counter: spans opened on the same thread nest;
+events attach to the innermost open span.  A simulated timestamp is an
+ordinary attribute — the discrete-event simulator passes ``ts=<sim
+seconds>`` with ``clock="sim"``, so real and simulated builds share one
+schema (see DESIGN.md §7).
+
+The module-level :func:`span` / :func:`event` helpers are the
+instrumented code's entry points — they are no-ops (one boolean check)
+unless tracing was enabled via :func:`repro.obs.configure`.
 """
 
 from __future__ import annotations
@@ -21,85 +27,45 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs import config as _config
+from repro.obs import flightrec as _flightrec
 
-__all__ = ["TraceRecord", "Tracer", "get_tracer", "span", "event"]
+__all__ = ["span", "event", "open_span_id"]
+
+_span_ids = itertools.count(1)
+_local = threading.local()
 
 
-@dataclass
-class TraceRecord:
-    """One trace entry.
+def _stack() -> List[int]:
+    stack = getattr(_local, "stack", None)
+    if stack is None:
+        stack = _local.stack = []
+    return stack
 
-    Attributes:
-        name: what happened (e.g. ``"root_search"``, ``"cluster_sync"``).
-        kind: ``"span"`` (has a duration) or ``"event"`` (an instant).
-        ts: start time, seconds.  Monotonic wall time unless the caller
-            supplied a simulated timestamp.
-        dur: span duration in seconds (``None`` for events).
-        span_id: unique id within this tracer.
-        parent_id: id of the enclosing span, or ``None`` at top level.
-        thread: name of the recording thread.
-        attrs: free-form JSON-safe attributes.
-    """
 
-    name: str
-    kind: str
-    ts: float
-    dur: Optional[float]
-    span_id: int
-    parent_id: Optional[int]
-    thread: str
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict (the JSONL line payload)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "ts": self.ts,
-            "dur": self.dur,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "thread": self.thread,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            ts=data["ts"],
-            dur=data.get("dur"),
-            span_id=data["span_id"],
-            parent_id=data.get("parent_id"),
-            thread=data.get("thread", ""),
-            attrs=data.get("attrs", {}),
-        )
+def open_span_id() -> Optional[int]:
+    """The id of the calling thread's innermost open span, if any."""
+    stack = _stack()
+    return stack[-1] if stack else None
 
 
 class _ActiveSpan:
     """Context manager for one open span."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_start", "_id", "_parent")
+    __slots__ = ("_name", "_attrs", "_start", "_id", "_parent")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]):
-        self._tracer = tracer
+    def __init__(self, name: str, attrs: Dict[str, Any]):
         self._name = name
         self._attrs = attrs
 
     def __enter__(self) -> "_ActiveSpan":
-        tracer = self._tracer
-        self._id = tracer._next_id()
-        stack = tracer._stack()
+        self._id = next(_span_ids)
+        stack = _stack()
         self._parent = stack[-1] if stack else None
         stack.append(self._id)
-        self._start = tracer._clock()
+        self._start = time.monotonic()
         return self
 
     def set(self, **attrs: Any) -> None:
@@ -107,22 +73,11 @@ class _ActiveSpan:
         self._attrs.update(attrs)
 
     def __exit__(self, *exc: Any) -> None:
-        tracer = self._tracer
-        end = tracer._clock()
-        stack = tracer._stack()
+        stack = _stack()
         if stack and stack[-1] == self._id:
             stack.pop()
-        tracer._append(
-            TraceRecord(
-                name=self._name,
-                kind="span",
-                ts=self._start,
-                dur=end - self._start,
-                span_id=self._id,
-                parent_id=self._parent,
-                thread=threading.current_thread().name,
-                attrs=self._attrs,
-            )
+        _flightrec.get_recorder().record_trace(
+            self._name, self._attrs, self._parent, self._id, self._start
         )
 
 
@@ -144,106 +99,15 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class Tracer:
-    """A bounded trace recorder.
-
-    Args:
-        capacity: ring-buffer size; the oldest records are evicted once
-            the buffer is full.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._records: deque = deque(maxlen=capacity)
-        self._ids = itertools.count(1)
-        self._local = threading.local()
-        self._clock = time.monotonic
-
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        """Ring-buffer size."""
-        return self._records.maxlen or 0
-
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the ring buffer, keeping the newest records."""
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if capacity != self.capacity:
-            self._records = deque(self._records, maxlen=capacity)
-
-    def _next_id(self) -> int:
-        return next(self._ids)
-
-    def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _append(self, record: TraceRecord) -> None:
-        self._records.append(record)
-
-    # ------------------------------------------------------------------
-    def span(self, name: str, **attrs: Any) -> _ActiveSpan:
-        """Open a span; use as a context manager."""
-        return _ActiveSpan(self, name, attrs)
-
-    def event(self, name: str, ts: Optional[float] = None, **attrs: Any) -> None:
-        """Record an instantaneous event.
-
-        Args:
-            name: event name.
-            ts: explicit timestamp (e.g. simulated seconds); defaults to
-                the monotonic clock.
-            attrs: JSON-safe attributes.
-        """
-        stack = self._stack()
-        self._append(
-            TraceRecord(
-                name=name,
-                kind="event",
-                ts=self._clock() if ts is None else ts,
-                dur=None,
-                span_id=self._next_id(),
-                parent_id=stack[-1] if stack else None,
-                thread=threading.current_thread().name,
-                attrs=dict(attrs),
-            )
-        )
-
-    def records(self) -> List[TraceRecord]:
-        """Snapshot of the buffer, oldest first."""
-        return list(self._records)
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-_global_tracer = Tracer(_config.TRACE_CAPACITY)
-
-
-def get_tracer() -> Tracer:
-    """The process-wide tracer (capacity follows ``obs.configure``)."""
-    if _global_tracer.capacity != _config.TRACE_CAPACITY:
-        _global_tracer.set_capacity(_config.TRACE_CAPACITY)
-    return _global_tracer
-
-
 def span(name: str, **attrs: Any):
     """A traced span if tracing is on, else a shared no-op."""
     if not _config.TRACING:
         return _NULL_SPAN
-    return get_tracer().span(name, **attrs)
+    return _ActiveSpan(name, attrs)
 
 
-def event(name: str, ts: Optional[float] = None, **attrs: Any) -> None:
-    """Record an event on the global tracer (no-op when tracing is off)."""
+def event(name: str, **attrs: Any) -> None:
+    """Record an instant event (no-op when tracing is off)."""
     if not _config.TRACING:
         return
-    get_tracer().event(name, ts=ts, **attrs)
+    _flightrec.get_recorder().record_trace(name, attrs, open_span_id())

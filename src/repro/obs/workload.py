@@ -130,8 +130,7 @@ def characterize(
 
     Args:
         records: parsed qlog records
-            (:func:`repro.obs.qlog.read_qlog` output, or a live ring
-            snapshot).
+            (:func:`repro.obs.qlog.read_qlog` output).
         top: hot-table depth.
         cache_sizes: LRU sizes to sweep (default
             :data:`DEFAULT_CACHE_SIZES`).

@@ -32,7 +32,7 @@ Every request is counted into the observability registry
 can scrape a live server.  Requests slower than the configurable
 ``slow_query_seconds`` threshold are logged (logger ``repro.service``),
 counted (``parapll_service_slow_requests_total``) and recorded as a
-``slow_query`` trace event when tracing is on.  Lines that fail JSON
+``slow_query`` flight-recorder event.  Lines that fail JSON
 decoding are counted and logged instead of silently answered.
 
 The server is a stdlib ``ThreadingTCPServer``; one thread per
@@ -57,7 +57,6 @@ from repro.errors import ReproError
 from repro.obs import flightrec as _flightrec
 from repro.obs import qlog as _qlog
 from repro.obs import slo as _slo
-from repro.obs import trace as _trace
 from repro.obs.instruments import (
     SERVICE_LATENCY,
     SERVICE_MALFORMED,
@@ -159,9 +158,6 @@ class _Handler(socketserver.StreamRequestHandler):
                     op,
                     elapsed,
                     threshold,
-                )
-                _trace.event(
-                    "slow_query", op=op, req_id=req_id, seconds=elapsed
                 )
                 _flightrec.record(
                     "slow_query", op=op, req_id=req_id, seconds=elapsed

@@ -7,6 +7,7 @@ from repro.check.invariants import verify_index
 from repro.core.index import PLLIndex
 from repro.core.labels import LabelStore
 from repro.errors import CheckError
+from repro.graph.builder import GraphBuilder
 from repro.parallel.threads import build_parallel_threads
 
 
@@ -23,6 +24,18 @@ class TestCleanIndexes:
         assert report.ok, report.render()
         assert report.redundant_labels == 0
         assert report.sampled_pairs >= 24
+
+    def test_near_zero_weight_serial_build_passes_strict(self):
+        # Via hub 0, vertex 2 reaches vertex 1 in 1.0 + 1e-9: the build
+        # keeps the direct label (hub 1, 1.0), which is not dominated.
+        builder = GraphBuilder(num_vertices=3)
+        builder.add_edge(0, 1, 1.0)
+        builder.add_edge(0, 2, 1e-9)
+        builder.add_edge(1, 2, 1.0)
+        index = PLLIndex.build(builder.build())
+        report = verify_index(index, samples=8, strict_minimality=True)
+        assert report.ok, report.render()
+        assert report.redundant_labels == 0
 
     def test_parallel_build_passes(self, random_graph):
         index = build_parallel_threads(random_graph, 4, policy="dynamic")

@@ -1,5 +1,7 @@
 """End-to-end tests for the ``parapll`` command-line tool."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -187,8 +189,9 @@ class TestObs:
         assert "workers:" in out
         assert f"parapll_build_roots_total {n}" in prom.read_text()
         with open(jsonl) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        assert any(r["name"] == "root_search" for r in records)
+            header, *records = [json.loads(line) for line in fh]
+        assert header["schema"] == "parapll-flightrec/1"
+        assert any(r["kind"] == "root_search" for r in records)
         # --jsonl implies tracing for the build only; it is off again.
         from repro.obs import config as obs_config
 
@@ -326,6 +329,104 @@ class TestTimeline:
 
         main(["timeline", "--dataset", "Gnutella", "--scale", "0.1", "--sim"])
         assert obs_config.TRACING is False
+
+
+class TestCaptureFileErrors:
+    """A bad capture file ends in a named error, never a traceback."""
+
+    def _fails(self, argv, capsys, *needles):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+        return err
+
+    def test_workload_report_foreign_schema(self, tmp_path, capsys):
+        cap = tmp_path / "cap.qlog"
+        cap.write_text('{"kind": "header", "schema": "other/1"}\n')
+        self._fails(
+            ["workload", "report", "--qlog", str(cap)],
+            capsys, f"{cap}:1", "parapll-qlog/1",
+        )
+
+    def test_workload_report_non_object_line(self, tmp_path, capsys):
+        cap = tmp_path / "cap.qlog"
+        cap.write_text('{"op": "distance", "s": 0, "t": 1}\n[1, 2]\n')
+        self._fails(
+            ["workload", "report", "--qlog", str(cap)],
+            capsys, f"{cap}:2", "not a JSON object",
+        )
+
+    def test_workload_report_record_without_pair(self, tmp_path, capsys):
+        cap = tmp_path / "cap.qlog"
+        cap.write_text('{"op": "distance"}\n')
+        self._fails(
+            ["workload", "report", "--qlog", str(cap)],
+            capsys, f"{cap}: record 1", "integer s and t",
+        )
+
+    def test_timeline_event_without_attrs(self, tmp_path, capsys):
+        dump = tmp_path / "t.jsonl"
+        dump.write_text(
+            '{"kind": "header", "schema": "parapll-flightrec/1"}\n'
+            '{"seq": 1}\n'
+        )
+        self._fails(
+            ["timeline", "--from-jsonl", str(dump)],
+            capsys, f"{dump}: event 1", "no kind or attrs",
+        )
+
+    def test_timeline_non_json_line(self, tmp_path, capsys):
+        dump = tmp_path / "t.jsonl"
+        dump.write_text(
+            '{"kind": "header", "schema": "parapll-flightrec/1"}\n{"seq": 1\n'
+        )
+        self._fails(
+            ["timeline", "--from-jsonl", str(dump)],
+            capsys, f"{dump}:2", "not JSON",
+        )
+
+    def test_timeline_non_object_line(self, tmp_path, capsys):
+        dump = tmp_path / "t.jsonl"
+        dump.write_text(
+            '{"kind": "header", "schema": "parapll-flightrec/1"}\n"x"\n'
+        )
+        self._fails(
+            ["timeline", "--from-jsonl", str(dump)],
+            capsys, f"{dump}:2", "not a JSON object",
+        )
+
+    def test_timeline_rejects_headerless_trace(self, tmp_path, capsys):
+        # The header-less trace JSONL older versions wrote.
+        dump = tmp_path / "old.trace.jsonl"
+        dump.write_text(json.dumps({
+            "name": "root_search", "kind": "span", "ts": 1.0, "dur": 0.5,
+            "span_id": 1, "parent_id": None, "thread": "t", "attrs": {},
+        }) + "\n")
+        self._fails(
+            ["timeline", "--from-jsonl", str(dump)],
+            capsys, str(dump), "no parapll-flightrec/1 header",
+        )
+
+    def test_timeline_loads_failure_auto_dump(self, tmp_path, capsys):
+        from repro.obs.flightrec import FlightRecorder
+
+        rec = FlightRecorder()
+        rec.record("task_grab", worker=0, root=3)
+        rec.record("worker_failure", worker=0, root=3, error="boom")
+        dump = tmp_path / "flightrec-1-worker_failure-1.jsonl"
+        rec.dump(str(dump), reason="worker_failure")
+        out = tmp_path / "t.json"
+        # No timed tasks in a bare failure dump: the named "no timed
+        # tasks" error, after the Chrome trace was written.
+        assert main(
+            ["timeline", "--from-jsonl", str(dump), "--out", str(out)]
+        ) == 1
+        doc = json.loads(out.read_text())
+        names = {e["name"] for e in doc["traceEvents"]}
+        assert {"task_grab", "worker_failure"} <= names
+        assert "no timed tasks" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -139,14 +139,15 @@ class TestThreadCommPropagation:
             return c.recv(source=0, dest=1)
 
         run_ranks(comm, program, trace_context=build_ctx)
-        records = obs.get_tracer().records()
-        sends = [r for r in records if r.name == "comm_send"]
-        recvs = [r for r in records if r.name == "comm_recv"]
+        records = obs.get_recorder().snapshot()
+        sends = [r for r in records if r["kind"] == "comm_send"]
+        recvs = [r for r in records if r["kind"] == "comm_recv"]
         assert sends and recvs
-        assert sends[0].attrs["flow_id"] == recvs[0].attrs["flow_id"]
-        assert sends[0].attrs["trace_id"] == build_ctx.trace_id
-        assert recvs[0].attrs["trace_id"] == build_ctx.trace_id
-        assert sends[0].attrs["src"] == 0 and sends[0].attrs["dest"] == 1
+        assert sends[0]["attrs"]["flow_id"] == recvs[0]["attrs"]["flow_id"]
+        assert sends[0]["attrs"]["trace_id"] == build_ctx.trace_id
+        assert recvs[0]["attrs"]["trace_id"] == build_ctx.trace_id
+        assert sends[0]["attrs"]["src"] == 0
+        assert sends[0]["attrs"]["dest"] == 1
 
     def test_allgather_emits_recv_per_remote_rank(self, tracing):
         comm = ThreadComm(3, timeout=5.0)
@@ -156,8 +157,8 @@ class TestThreadCommPropagation:
 
         results = run_ranks(comm, program, trace_context=new_context())
         assert results[0] == [[0], [1], [2]]
-        records = obs.get_tracer().records()
-        recvs = [r for r in records if r.name == "comm_recv"]
+        records = obs.get_recorder().snapshot()
+        recvs = [r for r in records if r["kind"] == "comm_recv"]
         # Each of the 3 ranks receives from its 2 remote peers.
         assert len(recvs) == 6
 
@@ -192,12 +193,12 @@ class TestSimCommPropagation:
         with activate(new_context()):
             comm.send([1], source=0, dest=1)
             comm.recv(source=0, dest=1)
-        records = obs.get_tracer().records()
-        sends = [r for r in records if r.name == "comm_send"]
-        recvs = [r for r in records if r.name == "comm_recv"]
+        records = obs.get_recorder().snapshot()
+        sends = [r for r in records if r["kind"] == "comm_send"]
+        recvs = [r for r in records if r["kind"] == "comm_recv"]
         assert sends and recvs
-        assert sends[0].attrs["clock"] == "sim"
-        assert sends[0].attrs["flow_id"] == recvs[0].attrs["flow_id"]
+        assert sends[0]["attrs"]["clock"] == "sim"
+        assert sends[0]["attrs"]["flow_id"] == recvs[0]["attrs"]["flow_id"]
 
 
 class TestStitchedClusterTrace:
@@ -207,20 +208,20 @@ class TestStitchedClusterTrace:
         graph = gnm_random_graph(30, 80, seed=5)
         index = run_cluster_threads(graph, 2, syncs=2)
 
-        records = obs.get_tracer().records()
-        rank_spans = [r for r in records if r.name == "cluster_rank"]
-        assert {r.attrs["rank"] for r in rank_spans} == {0, 1}
-        trace_ids = {r.attrs["trace_id"] for r in rank_spans}
+        records = obs.get_recorder().snapshot()
+        rank_spans = [r for r in records if r["kind"] == "cluster_rank"]
+        assert {r["attrs"]["rank"] for r in rank_spans} == {0, 1}
+        trace_ids = {r["attrs"]["trace_id"] for r in rank_spans}
         assert len(trace_ids) == 1
 
         comm_events = [
             r
             for r in records
-            if r.name in ("comm_send", "comm_recv")
+            if r["kind"] in ("comm_send", "comm_recv")
         ]
         assert comm_events
         assert {
-            e.attrs["trace_id"] for e in comm_events
+            e["attrs"]["trace_id"] for e in comm_events
         } == trace_ids
 
         doc = obs.chrome_trace()
@@ -237,5 +238,5 @@ class TestStitchedClusterTrace:
     def test_tracing_off_build_has_no_comm_events(self):
         graph = gnm_random_graph(20, 50, seed=5)
         run_cluster_threads(graph, 2, syncs=1)
-        names = {r.name for r in obs.get_tracer().records()}
+        names = {r["kind"] for r in obs.get_recorder().snapshot()}
         assert "comm_send" not in names and "comm_recv" not in names

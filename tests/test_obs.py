@@ -1,6 +1,6 @@
 """Tests for the observability layer: metrics, tracing, export, timers.
 
-Global state (the default registry / tracer / config) is reset around
+Global state (the default registry / event ring / config) is reset around
 every test via the autouse fixture below, so tests here cannot leak
 into each other or into the rest of the suite.
 """
@@ -17,12 +17,12 @@ from repro import obs
 from repro.errors import ReproError
 from repro.generators.random_graphs import gnm_random_graph
 from repro.obs import (
+    FlightRecorder,
     MetricsRegistry,
     ObsError,
     PhaseTimer,
     SamplingProfiler,
-    TraceRecord,
-    Tracer,
+    flightrec,
 )
 from repro.obs.instruments import KNOWN_SERVICE_OPS, record_request
 
@@ -31,10 +31,10 @@ from repro.obs.instruments import KNOWN_SERVICE_OPS, record_request
 def clean_obs():
     """Reset metrics/traces and restore the default configuration."""
     obs.reset()
-    obs.configure(metrics=True, tracing=False, trace_capacity=4096)
+    obs.configure(metrics=True, tracing=False)
     yield
     obs.reset()
-    obs.configure(metrics=True, tracing=False, trace_capacity=4096)
+    obs.configure(metrics=True, tracing=False)
 
 
 # ----------------------------------------------------------------------
@@ -206,46 +206,56 @@ class TestConcurrency:
 # ----------------------------------------------------------------------
 # Tracing
 # ----------------------------------------------------------------------
+@pytest.fixture
+def ring(monkeypatch):
+    """A private flight-recorder ring with tracing on."""
+    recorder = FlightRecorder(capacity=64)
+    monkeypatch.setattr(flightrec, "_global_recorder", recorder)
+    obs.configure(tracing=True)
+    return recorder
+
+
 class TestTracer:
-    def test_span_records_duration(self):
-        tr = Tracer()
-        with tr.span("work", root=3) as sp:
+    def test_span_records_duration(self, ring):
+        with obs.span("work", root=3) as sp:
             sp.set(labels=7)
-        (rec,) = tr.records()
-        assert rec.name == "work"
-        assert rec.kind == "span"
-        assert rec.dur is not None and rec.dur >= 0
-        assert rec.attrs == {"root": 3, "labels": 7}
+        (rec,) = ring.snapshot()
+        assert rec["kind"] == "work"
+        assert rec["dur"] is not None and rec["dur"] >= 0
+        assert rec["attrs"] == {"root": 3, "labels": 7}
 
-    def test_nesting_parentage(self):
-        tr = Tracer()
-        with tr.span("outer"):
-            with tr.span("inner"):
-                tr.event("tick")
-        by_name = {r.name: r for r in tr.records()}
-        assert by_name["outer"].parent_id is None
-        assert by_name["inner"].parent_id == by_name["outer"].span_id
-        assert by_name["tick"].parent_id == by_name["inner"].span_id
+    def test_nesting_parentage(self, ring):
+        with obs.span("outer"):
+            with obs.span("inner"):
+                obs.event("tick")
+        by_name = {r["kind"]: r for r in ring.snapshot()}
+        assert by_name["outer"]["parent_id"] is None
+        assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
+        assert by_name["tick"]["parent_id"] == by_name["inner"]["span_id"]
+        # Spans take their seq when they close, like every event.
+        assert [r["kind"] for r in ring.snapshot()] == [
+            "tick", "inner", "outer"
+        ]
 
-    def test_event_explicit_ts(self):
-        tr = Tracer()
-        tr.event("commit", ts=12.5, clock="sim")
-        (rec,) = tr.records()
-        assert rec.ts == 12.5
-        assert rec.attrs["clock"] == "sim"
+    def test_event_explicit_ts(self, ring):
+        obs.event("commit", ts=12.5, clock="sim")
+        (rec,) = ring.snapshot()
+        assert rec["attrs"] == {"ts": 12.5, "clock": "sim"}
+        assert "dur" not in rec
 
-    def test_ring_buffer_bounded(self):
-        tr = Tracer(capacity=3)
+    def test_ring_buffer_bounded(self, ring):
+        ring.set_capacity(3)
         for i in range(10):
-            tr.event(f"e{i}")
-        names = [r.name for r in tr.records()]
+            obs.event(f"e{i}")
+        names = [r["kind"] for r in ring.snapshot()]
         assert names == ["e7", "e8", "e9"]
 
-    def test_disabled_tracing_is_noop(self):
+    def test_disabled_tracing_is_noop(self, ring):
+        obs.configure(tracing=False)
         with obs.span("work") as sp:
             sp.set(x=1)  # must not raise on the null span
         obs.event("tick")
-        assert len(obs.get_tracer()) == 0
+        assert len(ring) == 0
 
     def test_enabled_via_configure(self):
         obs.configure(tracing=True)
@@ -254,41 +264,42 @@ class TestTracer:
                 pass
         finally:
             obs.configure(tracing=False)
-        assert len(obs.get_tracer()) == 1
+        assert [e["kind"] for e in obs.get_recorder().snapshot()] == ["work"]
 
-    def test_jsonl_round_trip(self, tmp_path):
-        tr = Tracer()
-        with tr.span("root_search", root=5, worker=0) as sp:
+    def test_jsonl_round_trip(self, ring, tmp_path):
+        with obs.span("root_search", root=5, worker=0) as sp:
             sp.set(labels=11)
-        tr.event("commit", ts=3.5, clock="sim")
+        obs.event("commit", ts=3.5, clock="sim")
         path = str(tmp_path / "trace.jsonl")
-        count = obs.write_trace_jsonl(path, tr.records())
-        assert count == 2
-        back = obs.read_trace_jsonl(path)
-        assert [r.to_dict() for r in back] == [
-            r.to_dict() for r in tr.records()
-        ]
+        assert ring.dump(path, reason="test") == 2
+        header, back = flightrec.read_dump(path, flightrec.FLIGHTREC_SCHEMA)
+        assert header["reason"] == "test" and header["events"] == 2
+        assert back == ring.snapshot()
 
-    def test_jsonl_to_file_object(self):
-        tr = Tracer()
-        tr.event("x")
+    def test_jsonl_to_file_object(self, ring):
+        obs.event("x")
         buf = io.StringIO()
-        obs.write_trace_jsonl(buf, tr.records())
-        (line,) = buf.getvalue().strip().splitlines()
-        assert json.loads(line)["name"] == "x"
+        ring.dump(buf)
+        header, line = buf.getvalue().strip().splitlines()
+        assert json.loads(header)["schema"] == flightrec.FLIGHTREC_SCHEMA
+        assert json.loads(line)["kind"] == "x"
 
     def test_record_round_trip_dict(self):
-        rec = TraceRecord(
-            name="n",
-            kind="event",
-            ts=1.0,
-            dur=None,
-            span_id=4,
-            parent_id=None,
-            thread="MainThread",
-            attrs={"a": 1},
+        rec = {
+            "seq": 4,
+            "ts": 1.0,
+            "mono": 2.0,
+            "kind": "n",
+            "thread": "MainThread",
+            "attrs": {"a": 1},
+            "parent_id": None,
+        }
+        buf = io.StringIO()
+        flightrec.write_dump(buf, flightrec.FLIGHTREC_SCHEMA, [rec])
+        _header, (back,) = flightrec.read_dump(
+            buf.getvalue().splitlines(), flightrec.FLIGHTREC_SCHEMA
         )
-        assert TraceRecord.from_dict(rec.to_dict()) == rec
+        assert back == rec
 
 
 # ----------------------------------------------------------------------
@@ -505,11 +516,18 @@ class TestConfigure:
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            obs.configure(trace_capacity=0)
+            FlightRecorder(capacity=0)
+        with pytest.raises(TypeError):
+            obs.configure(trace_capacity=16)  # one ring, sized by tracing
 
-    def test_capacity_follows_config(self):
-        obs.configure(trace_capacity=16)
-        assert obs.get_tracer().capacity == 16
+    def test_capacity_follows_config(self, monkeypatch):
+        recorder = FlightRecorder()
+        monkeypatch.setattr(flightrec, "_global_recorder", recorder)
+        assert recorder.capacity == flightrec.DEFAULT_CAPACITY == 512
+        obs.configure(tracing=True)
+        assert recorder.capacity == flightrec.RING_CAPACITY == 4096
+        obs.configure(tracing=False)  # never shrinks: spans survive
+        assert recorder.capacity == flightrec.RING_CAPACITY
 
 
 # ----------------------------------------------------------------------

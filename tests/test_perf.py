@@ -30,10 +30,10 @@ from repro.obs.regression import compare
 @pytest.fixture(autouse=True)
 def clean_obs():
     obs.reset()
-    obs.configure(metrics=True, tracing=False, trace_capacity=4096)
+    obs.configure(metrics=True, tracing=False)
     yield
     obs.reset()
-    obs.configure(metrics=True, tracing=False, trace_capacity=4096)
+    obs.configure(metrics=True, tracing=False)
 
 
 def _tiny_suite(**kwargs):

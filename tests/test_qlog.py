@@ -6,7 +6,8 @@ import pytest
 
 from repro import obs
 from repro.core.index import PLLIndex
-from repro.obs import qlog
+from repro.obs import flightrec, qlog
+from repro.obs.metrics import ObsError
 from repro.obs.qlog import (
     QLOG_SCHEMA,
     QueryLogRecorder,
@@ -33,6 +34,22 @@ def _clean_recorder():
     qlog.uninstall()
 
 
+class _Sink(list):
+    """An in-memory qlog sink: one parsed record per write."""
+
+    def write(self, line):
+        self.append(json.loads(line))
+
+    def flush(self):
+        pass
+
+
+def _sunk(**kwargs):
+    """A recorder writing to a fresh :class:`_Sink`, and the sink."""
+    sink = _Sink()
+    return QueryLogRecorder(sink=sink, **kwargs), sink
+
+
 class TestRecorder:
     def test_record_fields_and_seq(self):
         rec = QueryLogRecorder()
@@ -42,19 +59,19 @@ class TestRecorder:
         assert first["op"] == "distance" and first["cache_hit"] is True
         assert second["outcome"] == "unreachable"
         assert first["req_id"] is None
-        assert len(rec) == 2
+        assert rec.sampled == 2
 
-    def test_capacity_evicts_oldest(self):
-        rec = QueryLogRecorder(capacity=3)
+    def test_sink_keeps_every_record_in_order(self):
+        rec, sink = _sunk()
         for i in range(5):
-            rec.record("distance", i, i + 1, 1.0)
-        snap = rec.snapshot()
-        assert [r["s"] for r in snap] == [2, 3, 4]
-        assert rec.sampled == 5  # lifetime count survives eviction
+            assert rec.record("distance", i, i + 1, 1.0) == sink[-1]
+        assert [r["s"] for r in sink] == [0, 1, 2, 3, 4]
+        assert rec.sampled == 5
 
     def test_bad_capacity_and_sample(self):
-        with pytest.raises(ValueError):
-            QueryLogRecorder(capacity=0)
+        # The recorder has no ring, so no capacity to set.
+        with pytest.raises(TypeError):
+            QueryLogRecorder(capacity=3)
         with pytest.raises(ValueError):
             QueryLogRecorder(sample=1.5)
 
@@ -73,18 +90,19 @@ class TestRecorder:
         assert 20 < sum(decisions_a) < 100  # roughly 30%
 
     def test_clear_restarts_sampler(self):
-        def serve(rec):
+        def serve(rec, sink):
+            start = len(sink)
             with recording(rec):
                 for i in range(1000):
                     record_query("distance", i, i + 1, 1.0)
-            return rec.sampled, [r["s"] for r in rec.snapshot()]
+            return rec.sampled, [r["s"] for r in sink[start:]]
 
-        fresh = serve(QueryLogRecorder(sample=0.05, seed=3))
-        reused = QueryLogRecorder(sample=0.05, seed=3)
-        serve(reused)
+        fresh = serve(*_sunk(sample=0.05, seed=3))
+        reused, sink = _sunk(sample=0.05, seed=3)
+        serve(reused, sink)
         reused.clear()
-        assert reused.sampled == 0 and len(reused) == 0
-        assert serve(reused) == fresh
+        assert reused.sampled == 0
+        assert serve(reused, sink) == fresh
 
     def test_sample_follows_live_config_knob(self):
         rec = QueryLogRecorder()  # no override -> reads the knob
@@ -101,32 +119,26 @@ class TestRecorder:
         with pytest.raises(Exception):
             obs.configure(qlog_sample=2.0)
 
-    def test_snapshot_last(self):
-        rec = QueryLogRecorder()
-        for i in range(4):
-            rec.record("distance", i, i + 1, 1.0)
-        assert [r["s"] for r in rec.snapshot(last=2)] == [2, 3]
-        assert rec.snapshot(last=0) == []
-
 
 class TestDumpAndSink:
     def test_write_jsonl_read_roundtrip(self, tmp_path):
         rec = QueryLogRecorder()
-        rec.record("distance", 0, 1, 3.0)
-        rec.record("batch", 2, 3, 4.0, cache_hit=True)
+        records = [
+            rec.record("distance", 0, 1, 3.0),
+            rec.record("batch", 2, 3, 4.0, cache_hit=True),
+        ]
         path = str(tmp_path / "cap.qlog")
-        assert rec.write_jsonl(path) == 2
+        # A header-first capture, through the one dump writer.
+        assert flightrec.write_dump(path, QLOG_SCHEMA, records) == 2
         with open(path) as fh:
             header = json.loads(fh.readline())
         assert header["schema"] == QLOG_SCHEMA
-        assert header["records"] == 2
-        records = read_qlog(path)
-        assert len(records) == 2
-        assert records[1]["cache_hit"] is True
+        assert header["events"] == 2
+        assert read_qlog(path) == records
 
     def test_read_rejects_foreign_schema(self):
         lines = [json.dumps({"kind": "header", "schema": "other/1"})]
-        with pytest.raises(ValueError):
+        with pytest.raises(ObsError, match="<lines>:1"):
             read_qlog(lines)
 
     def test_read_raw_sink_without_header(self, tmp_path):
@@ -138,13 +150,17 @@ class TestDumpAndSink:
         assert len(records) == 1 and records[0]["s"] == 5
 
     def test_sink_sees_every_record_despite_small_ring(self, tmp_path):
+        # Sampled records stay off the flight recorder's small ring,
+        # whose post-mortem events they would evict at serving rates.
+        ring = flightrec.get_recorder()
+        before = ring.last_seq
         path = str(tmp_path / "sink.jsonl")
-        rec = QueryLogRecorder(capacity=2, sink=path)
-        for i in range(5):
+        rec = QueryLogRecorder(sink=path)
+        for i in range(ring.capacity + 5):
             rec.record("distance", i, i + 1, 1.0)
         rec.close()
-        assert len(read_qlog(path)) == 5
-        assert len(rec) == 2
+        assert len(read_qlog(path)) == ring.capacity + 5
+        assert ring.last_seq == before
 
 
 class TestInstallation:
@@ -158,7 +174,7 @@ class TestInstallation:
             assert qlog.active() is inner
             record_query("distance", 0, 1, 1.0)
         assert qlog.active() is outer
-        assert len(inner) == 1 and len(outer) == 0
+        assert inner.sampled == 1 and outer.sampled == 0
 
     def test_request_scope_nests_and_restores(self):
         assert qlog.current_req_id() is None
@@ -170,25 +186,27 @@ class TestInstallation:
         assert qlog.current_req_id() is None
 
     def test_record_query_defaults_req_id_from_scope(self):
-        with recording(QueryLogRecorder()) as rec:
+        rec, sink = _sunk()
+        with recording(rec):
             with request_scope(42):
                 record_query("distance", 0, 1, 1.0)
-        assert rec.snapshot()[0]["req_id"] == 42
+        assert sink[0]["req_id"] == 42
 
-    def test_obs_reset_clears_active_ring(self):
+    def test_obs_reset_restarts_active_sampler(self):
         rec = qlog.install(QueryLogRecorder())
         rec.record("distance", 0, 1, 1.0)
         obs.reset()
-        assert len(rec) == 0
+        assert rec.sampled == 0
 
 
 class TestOracleIntegration:
     def test_distance_records_miss_then_hit(self, index):
         oracle = DistanceOracle(index)
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        rec, sink = _sunk(sample=1.0)
+        with recording(rec):
             oracle.distance(0, 5)
             oracle.distance(5, 0)  # symmetric twin -> cache hit
-        miss, hit = rec.snapshot()
+        miss, hit = sink
         assert miss["cache_hit"] is False and miss["entries_scanned"] > 0
         assert hit["cache_hit"] is True
         assert miss["outcome"] == "ok"
@@ -196,16 +214,17 @@ class TestOracleIntegration:
 
     def test_unreachable_outcome(self, two_components):
         oracle = DistanceOracle(PLLIndex.build(two_components))
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        rec, sink = _sunk(sample=1.0)
+        with recording(rec):
             oracle.distance(0, 2)
-        assert rec.snapshot()[0]["outcome"] == "unreachable"
+        assert sink[0]["outcome"] == "unreachable"
 
     def test_batch_records_per_pair(self, index):
         oracle = DistanceOracle(index)
         oracle.distance(0, 1)  # prime the cache
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        rec, records = _sunk(sample=1.0)
+        with recording(rec):
             oracle.batch([(0, 1), (2, 3)])
-        records = rec.snapshot()
         assert [r["op"] for r in records] == ["batch", "batch"]
         assert records[0]["cache_hit"] is True
         assert records[1]["cache_hit"] is False
@@ -215,4 +234,4 @@ class TestOracleIntegration:
         with recording(QueryLogRecorder(sample=0.0)) as rec:
             oracle.distance(0, 5)
             oracle.batch([(1, 2)])
-        assert len(rec) == 0
+        assert rec.sampled == 0

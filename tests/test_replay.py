@@ -1,5 +1,7 @@
 """Tests for deterministic traffic replay (repro.service.replay)."""
 
+import io
+
 import pytest
 
 from repro.core.index import PLLIndex
@@ -164,12 +166,13 @@ class TestRunReplay:
         assert report["outcomes"]["ok"] == 80
 
     def test_qlog_capture_replays(self, oracle):
-        from repro.obs.qlog import QueryLogRecorder, recording
+        from repro.obs.qlog import QueryLogRecorder, read_qlog, recording
 
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        sink = io.StringIO()
+        with recording(QueryLogRecorder(sample=1.0, sink=sink)):
             oracle.distance(0, 5)
             oracle.distance(1, 7)
-        captured = rec.snapshot()
+        captured = read_qlog(sink.getvalue().splitlines())
         config = ReplayConfig(requests=6, clients=1, source="qlog")
         report = run_replay(
             config, oracle=oracle, qlog_records=captured

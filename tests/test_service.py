@@ -1,5 +1,6 @@
 """Tests for the serving layer: oracle and TCP server/client."""
 
+import io
 import math
 import threading
 
@@ -357,8 +358,8 @@ class TestRequestIdsAndSlowLog:
             with DistanceServer(oracle, slow_query_seconds=0.0) as server:
                 with DistanceClient("127.0.0.1", server.port) as client:
                     client.distance(0, 1)
-            names = [r.name for r in obs.get_tracer().records()]
-            assert "slow_query" in names
+            names = [e["kind"] for e in obs.get_recorder().snapshot()]
+            assert names.count("slow_query") == 1  # recorded once
         finally:
             obs.configure(tracing=False)
             obs.reset()
@@ -757,7 +758,7 @@ class TestSLOServing:
 
     def test_shed_requests_logged_to_qlog(self, index):
         from repro import obs
-        from repro.obs.qlog import QueryLogRecorder, recording
+        from repro.obs.qlog import QueryLogRecorder, read_qlog, recording
         from repro.obs.slo import SLOTarget, SLOTracker
 
         obs.reset()
@@ -775,14 +776,15 @@ class TestSLOServing:
         for _ in range(20):
             tracker.record(0.01)
         oracle = DistanceOracle(index)
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        sink = io.StringIO()
+        with recording(QueryLogRecorder(sample=1.0, sink=sink)):
             with DistanceServer(
                 oracle, slo_tracker=tracker, shed_burn_rate=1.0
             ) as server:
                 with DistanceClient("127.0.0.1", server.port) as client:
                     with pytest.raises(ReproError):
                         client.distance(3, 4)
-        records = rec.snapshot()
+        records = read_qlog(sink.getvalue().splitlines())
         assert len(records) == 1
         assert records[0]["outcome"] == "shed"
         assert records[0]["s"] == 3 and records[0]["t"] == 4
@@ -794,15 +796,16 @@ class TestSLOServing:
             DistanceServer(DistanceOracle(index), shed_burn_rate=0.0)
 
     def test_server_qlog_records_carry_req_id(self, index):
-        from repro.obs.qlog import QueryLogRecorder, recording
+        from repro.obs.qlog import QueryLogRecorder, read_qlog, recording
 
         oracle = DistanceOracle(index)
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        sink = io.StringIO()
+        with recording(QueryLogRecorder(sample=1.0, sink=sink)):
             with DistanceServer(oracle) as server:
                 with DistanceClient("127.0.0.1", server.port) as client:
                     client.distance(0, 5)
                     client.batch([(1, 2), (3, 4)])
-        records = rec.snapshot()
+        records = read_qlog(sink.getvalue().splitlines())
         assert len(records) == 3
         assert all(r["req_id"] is not None for r in records)
         # Both batch pairs share their request's id.

@@ -12,14 +12,14 @@ from repro.sim.executor import IntraNodeSimulator, simulate_intra_node
 def _sim_root_searches(graph, p):
     """The ``root_search`` events (simulated clock) of one traced build."""
     obs.configure(tracing=True)
-    obs.get_tracer().clear()
+    obs.get_recorder().clear()
     try:
         simulate_intra_node(graph, p)
     finally:
         obs.configure(tracing=False)
     return [
-        r.attrs for r in obs.get_tracer().records()
-        if r.name == "root_search" and r.attrs["clock"] == "sim"
+        e["attrs"] for e in obs.get_recorder().snapshot()
+        if e["kind"] == "root_search" and e["attrs"]["clock"] == "sim"
     ]
 
 

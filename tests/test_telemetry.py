@@ -37,12 +37,8 @@ from repro.obs.metrics import (
     histogram_quantile,
     merge_histogram_snapshot,
 )
-from repro.obs.relay import (
-    RING_CAPACITY,
-    Collector,
-    RelayClient,
-    render_fleet,
-)
+from repro.obs.flightrec import RING_CAPACITY
+from repro.obs.relay import Collector, RelayClient, render_fleet
 
 BOUNDS = (0.1, 1.0, 10.0)
 
@@ -196,10 +192,10 @@ class TestTelemetryBus:
     def test_header_identifies_process(self):
         header = stream_header(rank=3, capacity=7)
         assert header["kind"] == "header"
-        assert header["schema"] == TELEMETRY_SCHEMA == "parapll-telemetry/2"
+        assert header["schema"] == TELEMETRY_SCHEMA == "parapll-telemetry/3"
         assert header["pid"] == os.getpid()
         assert header["rank"] == 3 and header["capacity"] == 7
-        assert FRAME_KINDS == ("metrics", "spans", "events")
+        assert FRAME_KINDS == ("metrics", "events")
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -250,6 +246,43 @@ class TestCountedLoss:
             dropped = collector.stats()["dropped"]
         assert dropped > 0
         assert delivered + dropped == recorded
+
+    def test_open_span_survives_ring_wrap(self, monkeypatch):
+        """A span takes its seq when it closes: an outer span open while
+        the ring wraps still ships, and only real evictions count."""
+        recorder = FlightRecorder(capacity=16)
+        monkeypatch.setattr(flightrec, "_global_recorder", recorder)
+        monkeypatch.setattr(flightrec, "RING_CAPACITY", 16)
+        obs.configure(tracing=True)
+        try:
+            with Collector(registry=MetricsRegistry()) as collector:
+                client = RelayClient(
+                    collector.host,
+                    collector.port,
+                    registry=MetricsRegistry(),
+                    flush_interval=60.0,  # flush manually below
+                )
+                with obs.span("build_serial"):
+                    # Wrap the ring three times, shipping in time.
+                    for _ in range(5):
+                        for i in range(10):
+                            flightrec.record("inner", i=i)
+                        client.flush()
+                    # Then overflow it between two flushes.
+                    for i in range(40):
+                        flightrec.record("flood", i=i)
+                client.close()
+                wait_disconnected(collector)
+                kinds = [e["kind"] for e in collector.events()]
+                dropped = collector.stats()["dropped"]
+        finally:
+            obs.configure(tracing=False)
+        assert recorder.capacity == 16
+        assert kinds.count("build_serial") == 1
+        assert kinds.count("inner") == 50
+        # 40 floods + the span after the last flush, 16 slots: 25 gone.
+        assert kinds.count("flood") == 15
+        assert dropped == 40 + 1 - 16
 
 class TestMetricsDelta:
     def test_counter_deltas_and_reset_detection(self):
@@ -495,7 +528,6 @@ class TestRelayInProcess:
 
     def test_events_and_span_stitching(self):
         obs.configure(tracing=True)
-        obs.get_tracer().clear()
         try:
             with Collector(registry=MetricsRegistry()) as collector:
                 reg = MetricsRegistry()
@@ -511,27 +543,27 @@ class TestRelayInProcess:
                 flightrec.record("label_commit", worker=3, root=17)
                 client.close()
                 wait_disconnected(collector)
-                records = collector.stitched_records()
-                spans = [r for r in records if r.name == "root_search"]
-                assert len(spans) == 1
-                span = spans[0]
-                assert span.attrs["pid"] == os.getpid()
-                assert span.attrs["rank"] == 5
+                events = collector.events()
+                # The span closed before the commit was recorded, so it
+                # took the lower seq: one stream, in ring order.
+                assert [e["kind"] for e in events] == [
+                    "root_search", "label_commit"
+                ]
+                span, commit = events
+                assert span["dur"] >= 0 and span["span_id"] >= 1
+                assert span["attrs"]["pid"] == os.getpid()
+                assert span["attrs"]["rank"] == 5
                 # Lanes are namespaced by source so two processes'
                 # "worker 3" stay separate in the stitched trace.
                 source = f"r5/pid{os.getpid()}"
-                assert span.attrs["worker"] == f"{source}:3"
-                assert span.thread.startswith(f"{source}:")
-                events = [r for r in records if r.name == "label_commit"]
-                assert len(events) == 1
-                assert events[0].attrs["rank"] == 5
-                assert events[0].attrs["worker"] == f"{source}:3"
-                raw = collector.events()
-                assert [e["kind"] for e in raw] == ["label_commit"]
-                assert raw[-1]["source"] == source
+                assert span["attrs"]["worker"] == f"{source}:3"
+                assert span["thread"].startswith(f"{source}:")
+                assert commit["attrs"]["rank"] == 5
+                assert commit["attrs"]["worker"] == f"{source}:3"
+                assert {e["source"] for e in events} == {source}
         finally:
             obs.configure(tracing=False)
-            obs.get_tracer().clear()
+            flightrec.get_recorder().clear()
 
     def test_telemetry_health_in_obs_summary(self):
         with Collector(registry=MetricsRegistry()) as collector:
@@ -597,7 +629,6 @@ def _fleet_child(host, port, rank):
     """Two-process integration child: known metrics, spans, events."""
     obs.reset()
     obs.configure(tracing=True)
-    obs.get_tracer().clear()
     registry = obs.get_registry()
     registry.counter("fleet_total", "f").inc(100 + rank)
     h = registry.histogram("fleet_lat", "f", buckets=BOUNDS)
@@ -645,21 +676,22 @@ class TestTwoProcessIntegration:
 
             # Spans arrive pid/rank-attributed from both children.
             spans = [
-                r
-                for r in collector.stitched_records()
-                if r.name == "root_search"
+                e for e in collector.events() if e["kind"] == "root_search"
             ]
-            assert {r.attrs["rank"] for r in spans} == {0, 1}
+            assert {e["attrs"]["rank"] for e in spans} == {0, 1}
             child_pids = {c.pid for c in children}
-            assert {r.attrs["pid"] for r in spans} == child_pids
+            assert {e["attrs"]["pid"] for e in spans} == child_pids
 
-            # Each child's one event arrives once, from its own source.
+            # Each child's span and event arrive once, from its own
+            # source, in one stream.
             by_source = {}
             for event in collector.events():
                 by_source.setdefault(event["source"], []).append(
                     event["kind"]
                 )
-            assert sorted(by_source.values()) == [["label_commit"]] * 2
+            assert sorted(by_source.values()) == [
+                ["root_search", "label_commit"]
+            ] * 2
 
             # ... and land in ONE stitched Chrome trace.
             trace_path = tmp_path / "fleet.trace.json"
@@ -779,6 +811,42 @@ class TestFailureModes:
                 lambda: collector.stats()["malformed"] == 1
             ), collector.stats()
             assert collector.stats()["sources"] == {}
+
+    def test_non_object_lines_counted_reader_survives(self):
+        with Collector(registry=MetricsRegistry()) as collector:
+            sock = socket.create_connection(
+                (collector.host, collector.port), timeout=5.0
+            )
+            header = {
+                "kind": "header",
+                "schema": TELEMETRY_SCHEMA,
+                "pid": 997,
+                "rank": None,
+                "capacity": 8,
+            }
+            good = {
+                "kind": "events",
+                "seq": 3,
+                "payload": [
+                    {"seq": 1, "mono": 1.0, "kind": "label_commit",
+                     "thread": "t", "attrs": {"root": 4}},
+                ],
+            }
+            lines = [
+                header,
+                [1, 2],  # valid JSON, not an object
+                {"kind": ["events"], "seq": 2, "payload": []},
+                good,
+            ]
+            sock.sendall(
+                "".join(json.dumps(doc) + "\n" for doc in lines).encode()
+            )
+            sock.close()
+            wait_disconnected(collector)
+            assert collector.stats()["malformed"] == 2
+            (event,) = collector.events()
+            assert event["kind"] == "label_commit"
+            assert event["source"] == "pid997"
 
     def test_unknown_frame_kind_counted(self):
         with Collector(registry=MetricsRegistry()) as collector:

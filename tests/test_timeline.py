@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import flightrec
 from repro.obs.timeline import (
     PID_SIM,
     PID_WALL,
@@ -17,42 +18,41 @@ from repro.obs.timeline import (
     render_critical_path,
     write_chrome_trace,
 )
-from repro.obs.trace import TraceRecord
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     obs.reset()
-    obs.configure(metrics=True, tracing=False, trace_capacity=4096)
+    obs.configure(metrics=True, tracing=False)
     yield
     obs.reset()
-    obs.configure(metrics=True, tracing=False, trace_capacity=4096)
+    obs.configure(metrics=True, tracing=False)
+
+
+def _event(name, mono, seq, thread="t", **attrs):
+    """A flight event as the ring holds it (an instant)."""
+    return {
+        "seq": seq,
+        "ts": 0.0,
+        "mono": mono,
+        "kind": name,
+        "thread": thread,
+        "attrs": attrs,
+        "parent_id": None,
+    }
 
 
 def _span(name, ts, dur, span_id, parent_id=None, thread="w", **attrs):
-    return TraceRecord(
-        name=name,
-        kind="span",
-        ts=ts,
-        dur=dur,
-        span_id=span_id,
-        parent_id=parent_id,
-        thread=thread,
-        attrs=attrs,
-    )
+    """A span event: appended at its end, ``mono`` = start + dur."""
+    ev = _event(name, ts + dur, span_id, thread=thread, **attrs)
+    ev.update(span_id=span_id, parent_id=parent_id, dur=dur)
+    return ev
 
 
 def _sim_event(name, start, finish, worker, span_id, **attrs):
-    attrs = dict(attrs, start=start, finish=finish, worker=worker, clock="sim")
-    return TraceRecord(
-        name=name,
-        kind="event",
-        ts=finish,
-        dur=None,
-        span_id=span_id,
-        parent_id=None,
-        thread="sim",
-        attrs=attrs,
+    return _event(
+        name, 0.0, span_id, thread="sim", ts=finish, start=start,
+        finish=finish, worker=worker, clock="sim", **attrs,
     )
 
 
@@ -75,11 +75,7 @@ class TestExtractTasks:
         assert (tasks[0].start, tasks[0].end) == (2.0, 5.0)
 
     def test_instant_event_skipped(self):
-        rec = TraceRecord(
-            name="mark", kind="event", ts=1.0, dur=None,
-            span_id=1, parent_id=None, thread="t", attrs={},
-        )
-        assert extract_tasks([rec]) == []
+        assert extract_tasks([_event("mark", 1.0, seq=1)]) == []
 
     def test_lock_wait_carried(self):
         tasks = extract_tasks(
@@ -150,11 +146,7 @@ class TestChromeTrace:
         assert len(sim_tids) == 4
 
     def test_instant_event_phase(self):
-        rec = TraceRecord(
-            name="sync", kind="event", ts=1.0, dur=None,
-            span_id=9, parent_id=None, thread="t", attrs={},
-        )
-        doc = chrome_trace([rec])
+        doc = chrome_trace([_event("sync", 1.0, seq=9)])
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert len(instants) == 1
         assert instants[0]["s"] == "t"
@@ -287,17 +279,9 @@ class TestCriticalPath:
         assert 0 < report.chain_coverage <= 1.0 + 1e-9
 
 
-def _comm_event(name, ts, flow, flow_id, thread, span_id, **attrs):
-    attrs = dict(attrs, flow=flow, flow_id=flow_id)
-    return TraceRecord(
-        name=name,
-        kind="event",
-        ts=ts,
-        dur=None,
-        span_id=span_id,
-        parent_id=None,
-        thread=thread,
-        attrs=attrs,
+def _comm_event(name, ts, flow, flow_id, thread, seq, **attrs):
+    return _event(
+        name, ts, seq, thread=thread, flow=flow, flow_id=flow_id, **attrs
     )
 
 
@@ -367,3 +351,44 @@ class TestFlowEvents:
         doc = chrome_trace(records)
         starts = [e for e in doc["traceEvents"] if e.get("ph") == "s"]
         assert {e["id"] for e in starts} == {"f2-1>21", "f2-1>22"}
+
+
+class TestFlightDump:
+    """A traced threads build's dump, read back by the timeline, on a
+    graph whose three per-root events overflow a 4,096-event ring."""
+
+    ARGS = ["--dataset", "Gnutella", "--scale", "2.5", "--seed", "42"]
+
+    @pytest.fixture(scope="class")
+    def build(self, tmp_path_factory):
+        from repro.cli import main
+        from repro.generators.paper import load_dataset
+
+        path = tmp_path_factory.mktemp("dump") / "build.trace.jsonl"
+        code = main(["obs", *self.ARGS, "--threads", "2",
+                     "--jsonl", str(path)])
+        assert code == 0
+        n = load_dataset("Gnutella", scale=2.5, seed=42).num_vertices
+        header, events = flightrec.read_dump(
+            str(path), flightrec.FLIGHTREC_SCHEMA
+        )
+        return n, header, events
+
+    def test_dump_holds_every_roots_events(self, build):
+        n, header, events = build
+        assert flightrec.EVENTS_PER_ROOT * n > flightrec.RING_CAPACITY
+        assert header["events"] == len(events)
+        for kind in ("task_grab", "root_search", "label_commit"):
+            roots = sorted(
+                e["attrs"]["root"] for e in events if e["kind"] == kind
+            )
+            assert roots == list(range(n)), kind
+        spans = [e for e in events if e["kind"] == "root_search"]
+        assert all(e["dur"] >= 0 and e["span_id"] for e in spans)
+
+    def test_extract_tasks_one_root_search_per_root(self, build):
+        n, _header, events = build
+        tasks = [t for t in extract_tasks(events) if t.name == "root_search"]
+        assert len(tasks) == n
+        assert {t.attrs["root"] for t in tasks} == set(range(n))
+        assert {t.lane for t in tasks} <= {"worker 0", "worker 1"}

@@ -1,11 +1,12 @@
 """Tests for workload characterization (repro.obs.workload)."""
 
+import io
 import math
 
 import pytest
 
 from repro.core.index import PLLIndex
-from repro.obs.qlog import QueryLogRecorder, recording
+from repro.obs.qlog import QueryLogRecorder, read_qlog, recording
 from repro.obs.workload import (
     WORKLOAD_SCHEMA,
     characterize,
@@ -134,11 +135,12 @@ class TestEndToEnd:
 
         index = PLLIndex.build(gnm_random_graph(30, 70, seed=3))
         oracle = DistanceOracle(index)
-        with recording(QueryLogRecorder(sample=1.0)) as rec:
+        sink = io.StringIO()
+        with recording(QueryLogRecorder(sample=1.0, sink=sink)):
             for _ in range(3):
                 oracle.distance(0, 5)
             oracle.batch([(1, 2), (3, 4)])
-        report = characterize(rec.snapshot())
+        report = characterize(read_qlog(sink.getvalue().splitlines()))
         assert report["records"] == 5
         assert report["ops"] == {"batch": 2, "distance": 3}
         # Two of the three repeats of (0, 5) hit the LRU.
