@@ -16,8 +16,9 @@ Two layouts, one per lifecycle phase:
   drops the runs left behind by moves.  The compiled pruning kernel
   scans the runs as plain arrays (:meth:`arena`), the Python readers
   (:meth:`hubs_of` / :meth:`dists_of`) get list copies of a run, and
-  every append is a vectorised numpy write, so the arena is the only
-  copy of the labels.
+  every append writes the arena in place (:meth:`add_root` in compiled
+  code, the others as vectorised numpy writes), so the arena is the
+  only copy of the labels.
 * **Finalized phase** — one flat CSR triple (``indptr: int64[n+1]``,
   ``hubs: int64[E]``, ``dists: float64[E]``), built once by
   :meth:`finalize`, which then drops the arena.
@@ -41,14 +42,16 @@ reader that takes the tuple once and reads ``size[v]`` before
 
 from __future__ import annotations
 
+import ctypes
 import numbers
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import native
 from repro.errors import GraphError, NotIndexedError
 
-__all__ = ["LabelStore"]
+__all__ = ["Delta", "LabelStore"]
 
 #: Capacity of a vertex's run at its first append.
 _RUN_MIN = 4
@@ -58,6 +61,82 @@ _INT32 = np.iinfo(np.int32)
 
 #: ``(off, size, ah, ad, cap)``: see :meth:`LabelStore.arena`.
 Arena = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Slots of the store's context array (``native.STORE_SLOTS``).
+_SLOT = {name: i for i, name in enumerate(native.STORE_SLOTS)}
+
+
+class Delta:
+    """One root's label entries: ``L(verts[i])`` gets ``dists[i]`` under
+    the root's hub rank.
+
+    ``verts`` (int64) and ``dists`` (float64) are read-only arrays of
+    equal length; ``len()`` is the entry count, and iteration and
+    indexing give ``(vertex, distance)`` pairs of Python numbers.  A
+    delta equals another delta, or any sequence of pairs, with the same
+    entries in the same order.
+
+    ``Delta(verts, dists)`` copies its arguments.  The pruned-search
+    engines build theirs with :meth:`view`, over buffers they own.
+    """
+
+    __slots__ = ("verts", "dists", "_ptrs")
+
+    def __init__(self, verts: Sequence[int], dists: Sequence[float]) -> None:
+        vs = np.array(verts)
+        ds = np.array(dists)
+        if not (
+            vs.ndim == ds.ndim == 1 and len(vs) == len(ds)
+            and (not len(vs) or vs.dtype.kind in "iu" and ds.dtype.kind in "iuf")
+        ):
+            raise GraphError(
+                "a delta needs equal-length 1-D integer vertices and "
+                "numeric distances"
+            )
+        vs = vs.astype(np.int64)
+        ds = ds.astype(np.float64)
+        if np.isnan(ds).any():
+            raise GraphError("a delta distance is not a number")
+        vs.setflags(write=False)
+        ds.setflags(write=False)
+        self.verts = vs
+        self.dists = ds
+        self._ptrs = (vs.ctypes.data, ds.ctypes.data)
+
+    @classmethod
+    def view(
+        cls, verts: np.ndarray, dists: np.ndarray, vptr: int, dptr: int
+    ) -> "Delta":
+        """A delta over read-only int64 *verts* and float64 *dists*, held
+        as they are; *vptr* and *dptr* are their data addresses."""
+        delta = cls.__new__(cls)
+        delta.verts = verts
+        delta.dists = dists
+        delta._ptrs = (vptr, dptr)
+        return delta
+
+    def __len__(self) -> int:
+        return len(self.verts)
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return zip(self.verts.tolist(), self.dists.tolist())
+
+    def __getitem__(self, i: int) -> Tuple[int, float]:
+        return self.verts.item(i), self.dists.item(i)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Delta):
+            return np.array_equal(self.verts, other.verts) and np.array_equal(
+                self.dists, other.dists
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Delta({list(self)!r})"
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -217,7 +296,8 @@ class LabelStore:
     __slots__ = (
         "n",
         "_arena",
-        "_end",
+        "_cx",
+        "_cx_addr",
         "_finalized_indptr",
         "_finalized_hubs",
         "_finalized_dists",
@@ -232,15 +312,14 @@ class LabelStore:
             raise GraphError("label store size must be non-negative")
         self.n = n
         runs = np.zeros(n, dtype=np.int64)
-        self._arena: Optional[Arena] = (
+        self._new_context()
+        self._set_arena((
             runs,
             runs.copy(),
             np.empty(_ARENA_MIN, dtype=np.int32),
             np.empty(_ARENA_MIN, dtype=np.float64),
             runs.copy(),
-        )
-        #: First arena slot that no run owns.
-        self._end = 0
+        ), 0)
         self._finalized_indptr: Optional[np.ndarray] = None
         self._finalized_hubs: Optional[np.ndarray] = None
         self._finalized_dists: Optional[np.ndarray] = None
@@ -248,20 +327,39 @@ class LabelStore:
     # ------------------------------------------------------------------
     # Arena management
     # ------------------------------------------------------------------
+    def _new_context(self) -> None:
+        """A fresh context array for ``ls_append``, with no arena yet."""
+        self._cx = np.zeros(len(_SLOT), dtype=np.int64)
+        self._cx[_SLOT["n"]] = self.n
+        self._cx[_SLOT["run_min"]] = _RUN_MIN
+        self._cx_addr = self._cx.ctypes.data
+
+    def _set_arena(self, arena: Optional[Arena], end: int) -> None:
+        """Adopt *arena* with its first unowned slot at *end*, and point
+        the context array at it."""
+        self._arena = arena
+        cx = self._cx
+        if arena is not None:
+            off, size, ah, ad, cap = arena
+            cx[_SLOT["off"]:_SLOT["na"] + 1] = (
+                off.ctypes.data, size.ctypes.data, ah.ctypes.data,
+                ad.ctypes.data, cap.ctypes.data, len(ah),
+            )
+        cx[_SLOT["end"]] = end
+
     def _thaw(self) -> None:
         """Rebuild the arena from the CSR arrays; the store then owns
         the labels in the arena only."""
         indptr = self._finalized_indptr
         size = np.diff(indptr)
         hubs = np.array(self._finalized_hubs, dtype=np.int32)
-        self._arena = (
+        self._set_arena((
             np.array(indptr[:-1], dtype=np.int64),
             size,
             hubs,
             np.array(self._finalized_dists, dtype=np.float64),
             size.copy(),
-        )
-        self._end = len(hubs)
+        ), len(hubs))
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -276,10 +374,11 @@ class LabelStore:
         off, size, ah, ad, cap = self._arena
         new_cap = np.maximum(np.maximum(2 * cap[verts], need), _RUN_MIN)
         total = int(new_cap.sum())
-        if self._end + total > len(ah):
+        end = int(self._cx[_SLOT["end"]])
+        if end + total > len(ah):
             self._compact(verts, new_cap)
             return
-        starts = self._end + np.cumsum(new_cap) - new_cap
+        starts = end + np.cumsum(new_cap) - new_cap
         have = size[verts]
         src = _ranges(off[verts], have)
         dst = _ranges(starts, have)
@@ -287,7 +386,7 @@ class LabelStore:
         ad[dst] = ad[src]
         off[verts] = starts
         cap[verts] = new_cap
-        self._end += total
+        self._cx[_SLOT["end"]] = end + total
 
     def _compact(self, verts: np.ndarray, new_cap: np.ndarray) -> None:
         """Copy every run into fresh arrays, back to back, with *verts*
@@ -305,8 +404,7 @@ class LabelStore:
         new_ad = np.empty(length, dtype=np.float64)
         new_ah[dst] = ah[src]
         new_ad[dst] = ad[src]
-        self._arena = (new_off, have, new_ah, new_ad, cap)
-        self._end = live
+        self._set_arena((new_off, have, new_ah, new_ad, cap), live)
 
     def _append(
         self,
@@ -431,21 +529,61 @@ class LabelStore:
             return 0
         return self._append(*self._checked(*zip(*triples)), distinct=False)
 
-    def add_root(
-        self, hub_rank: int, verts: Sequence[int], dists: Sequence[float]
-    ) -> int:
-        """Append one root's delta: ``(hub_rank, dists[i])`` to
-        ``L(verts[i])``.  The vertices must be distinct and in
-        ``[0, n)``, as in a delta from
-        :meth:`~repro.core.pruned_dijkstra.PrunedDijkstra.run`, and
-        *hub_rank* an int32 integer; they are not checked again.
-        Returns the number of entries appended."""
-        return self._append(
-            np.asarray(verts, dtype=np.int64),
-            hub_rank,
-            np.asarray(dists, dtype=np.float64),
-            distinct=True,
-        )
+    def add_root(self, hub_rank: int, delta: Delta) -> int:
+        """Append one root's :class:`Delta`: ``(hub_rank, dists[i])`` to
+        ``L(verts[i])``; returns the number of entries appended.
+
+        The vertices must be distinct, as in a delta from
+        :meth:`~repro.core.pruned_dijkstra.PrunedDijkstra.run`.  With the
+        compiled library the entries go into the arena in place, moving
+        full runs to the arena's end in C; only a full arena comes back
+        here, to :meth:`_compact`.  Without it, :meth:`_append` writes
+        them with numpy.
+
+        Raises:
+            GraphError: for a vertex outside ``[0, n)`` or a hub rank
+                that is not an int32 integer, before anything is
+                written.
+        """
+        k = len(delta)
+        if not k:
+            return 0
+        if self._arena is None:
+            self._thaw()
+        lib = native.load()
+        if lib is None:
+            verts = delta.verts
+            if not (
+                isinstance(hub_rank, numbers.Integral)
+                and _INT32.min <= hub_rank <= _INT32.max
+                and verts.min() >= 0 and verts.max() < self.n
+            ):
+                raise self._bad_root(hub_rank, delta)
+            return self._append(verts, hub_rank, delta.dists, distinct=True)
+        vptr, dptr = delta._ptrs
+        cx = self._cx_addr
+        i = 0
+        while True:
+            try:
+                i = lib.ls_append(cx, hub_rank, vptr, dptr, i, k)
+            except ctypes.ArgumentError:
+                i = -1
+            if i == k:
+                return k
+            if i < 0:
+                raise self._bad_root(hub_rank, delta)
+            # The arena has no room to move L(v): compact, then resume.
+            v = delta.verts[i:i + 1]
+            self._reserve(v, self._arena[1][v] + 1)
+
+    def _bad_root(self, hub_rank: object, delta: Delta) -> GraphError:
+        """The error :meth:`add_root` raises for *delta*'s first bad
+        entry under *hub_rank*."""
+        for v, d in delta:
+            why = _entry_fault(self.n, v, hub_rank, d)
+            if why is not None:
+                return _bad_entry(v, hub_rank, d, why)
+        return GraphError(f"bad hub rank {hub_rank!r} for a label delta")
 
     def extend_from_arrays(
         self,
@@ -555,8 +693,7 @@ class LabelStore:
         self._finalized_indptr = indptr
         self._finalized_hubs = hubs
         self._finalized_dists = dists
-        self._arena = None
-        self._end = 0
+        self._set_arena(None, 0)
 
     def finalized_hubs(self, v: int) -> np.ndarray:
         """Sorted, deduplicated hub ranks of ``L(v)``: a zero-copy slice
@@ -631,8 +768,10 @@ class LabelStore:
             )
         other = LabelStore.__new__(LabelStore)
         other.n = self.n
-        other._arena = tuple(a.copy() for a in self._arena)
-        other._end = self._end
+        other._new_context()
+        other._set_arena(
+            tuple(a.copy() for a in self._arena), int(self._cx[_SLOT["end"]])
+        )
         other._invalidate()
         return other
 
@@ -725,7 +864,7 @@ class LabelStore:
         store = cls.__new__(cls)
         store.n = len(indptr) - 1
         store._arena = None
-        store._end = 0
+        store._new_context()
         store._finalized_indptr = indptr
         store._finalized_hubs = hubs
         store._finalized_dists = dists

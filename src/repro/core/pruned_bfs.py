@@ -16,9 +16,9 @@ unweighted build is ``build_serial(graph, engine="bfs")``.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.core.labels import LabelStore
+from repro.core.labels import Delta, LabelStore
 from repro.core.query import clear_tmp, load_tmp
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -27,8 +27,6 @@ from repro.obs.instruments import record_search
 from repro.types import INF, SearchStats
 
 __all__ = ["PrunedBFS"]
-
-Delta = List[Tuple[int, float]]
 
 
 class PrunedBFS:
@@ -68,7 +66,8 @@ class PrunedBFS:
         touched_dist: List[int] = [root]
         dist[root] = 0.0
         frontier = deque([root])
-        delta: Delta = []
+        out_v: List[int] = []
+        out_d: List[float] = []
 
         n_settled = n_pruned = n_relax = n_scan = 0
 
@@ -89,7 +88,8 @@ class PrunedBFS:
             if q <= d:
                 n_pruned += 1
                 continue
-            delta.append((u, d))
+            out_v.append(u)
+            out_d.append(d)
             nd = d + 1.0
             for v, _w in adj[u]:
                 if dist[v] == INF:
@@ -102,24 +102,21 @@ class PrunedBFS:
             dist[v] = INF
         clear_tmp(tmp, touched_tmp)
 
-        record_search(n_settled, n_pruned, len(delta), n_settled, n_scan)
+        record_search(n_settled, n_pruned, len(out_v), n_settled, n_scan)
         if stats is not None:
             stats.root = root
             stats.settled = n_settled
             stats.pruned = n_pruned
-            stats.labels_added = len(delta)
+            stats.labels_added = len(out_v)
             stats.relaxations = n_relax
             stats.heap_pushes = len(touched_dist)
             stats.heap_pops = n_settled
             stats.query_entries_scanned = n_scan
-        return delta
+        return Delta(out_v, out_d)
 
     def commit(self, root: int, delta: Delta, store: LabelStore) -> None:
         """Append *delta* (from :meth:`run` on *root*) into *store*."""
-        root_rank = int(self.rank[root])
-        add = store.add
-        for v, d in delta:
-            add(v, root_rank, d)
+        store.add_root(self._rank_list[root], delta)
 
     def rank_of(self, v: int) -> int:
         """Rank of vertex *v* under the bound ordering."""

@@ -1,10 +1,13 @@
-/* One root's pruned Dijkstra (Algorithm 1), compiled.  The Python loop in
- * pruned_dijkstra.py stays the reference: the same lazy-deletion heap in
- * (dist, vertex) order, tmp-array pruning query, delta and six counters.
- * It scans the label store's arena (labels.py): vertex v's label is
- * ah[off[v]:off[v] + size[v]] (int32 hub ranks) with ad alongside (float64
- * distances).  It is called through ctypes.PyDLL, which keeps the GIL for
- * the whole search.  The caller validates every array and owns all memory;
+/* One root's pruned Dijkstra (Algorithm 1), compiled, and the label
+ * store's in-place append.  The Python loop in pruned_dijkstra.py stays
+ * the reference: the same lazy-deletion heap in (dist, vertex) order,
+ * tmp-array pruning query, delta and six counters.  Both entry points
+ * work on the label store's arena (labels.py): vertex v's label is
+ * ah[off[v]:off[v] + size[v]] (int32 hub ranks) with ad alongside
+ * (float64 distances), in room for cap[v] entries.  They are called
+ * through ctypes.PyDLL, which keeps the GIL.  Each takes one context
+ * array of int64 slots, pointers and lengths, that the caller fills
+ * from arrays it validated and owns (native.py names the slots);
  * nothing here allocates. */
 #include <math.h>
 #include <stdint.h>
@@ -13,6 +16,17 @@
 typedef struct { double d; int64_t v; } item;
 
 enum { SETTLED, PRUNED, RELAX, PUSHES, POPS, SCANNED };
+
+/* The search context (native.SEARCH_SLOTS). */
+enum { PD_N, PD_OFF, PD_SIZE, PD_AH, PD_AD, PD_NA, PD_INDPTR, PD_INDICES,
+       PD_WEIGHTS, PD_DIST, PD_TMP, PD_TOUCHED, PD_HEAP, PD_OUT_V, PD_OUT_D,
+       PD_CNT };
+
+/* The store context (native.STORE_SLOTS); END is read and written. */
+enum { LS_N, LS_RUN_MIN, LS_OFF, LS_SIZE, LS_AH, LS_AD, LS_CAP, LS_NA,
+       LS_END };
+
+#define SLOT(cx, type, i) ((type *)(intptr_t)(cx)[i])
 
 static int before(item a, item b) { return a.d < b.d || (a.d == b.d && a.v < b.v); }
 
@@ -54,19 +68,28 @@ static int run(const int64_t *off, const int64_t *size, int64_t na, int64_t v,
 }
 
 /* Pruned search from root over the arena (off, size: n items; ah, ad: na
- * items).  dist and tmp hold n infinities and are left so; touched, out_v
- * and out_d hold n items, heap len(indices) + 1.  Returns the delta's
- * length, with the delta in out_v/out_d and the counters in cnt[0..5]; or
- * -1 for a bad label, naming it as cnt[0] = vertex, cnt[1] = position in
- * L(vertex) of a hub rank outside [0, n), or -1 for a run outside the
- * arena. */
-int64_t pd_run(int64_t n, const int64_t *off, const int64_t *size,
-               const int32_t *ah, const double *ad, int64_t na,
-               const int64_t *indptr, const int32_t *indices,
-               const double *weights, int64_t root, int64_t root_rank,
-               double *dist, double *tmp, int64_t *touched, item *heap,
-               int64_t *out_v, double *out_d, int64_t *cnt)
+ * items).  dist and tmp hold n infinities and are left so; touched holds
+ * n items, heap len(indices) + 1, and out_v/out_d n items from index at.
+ * Returns the delta's length, with the delta in out_v/out_d from at and
+ * the counters in cnt[0..5]; or -1 for a bad label, naming it as cnt[0] =
+ * vertex, cnt[1] = position in L(vertex) of a hub rank outside [0, n), or
+ * -1 for a run outside the arena. */
+int64_t pd_run(const int64_t *cx, int64_t root, int64_t root_rank, int64_t at)
 {
+    const int64_t n = cx[PD_N], na = cx[PD_NA];
+    const int64_t *off = SLOT(cx, const int64_t, PD_OFF);
+    const int64_t *size = SLOT(cx, const int64_t, PD_SIZE);
+    const int32_t *ah = SLOT(cx, const int32_t, PD_AH);
+    const double *ad = SLOT(cx, const double, PD_AD);
+    const int64_t *indptr = SLOT(cx, const int64_t, PD_INDPTR);
+    const int32_t *indices = SLOT(cx, const int32_t, PD_INDICES);
+    const double *weights = SLOT(cx, const double, PD_WEIGHTS);
+    double *dist = SLOT(cx, double, PD_DIST), *tmp = SLOT(cx, double, PD_TMP);
+    int64_t *touched = SLOT(cx, int64_t, PD_TOUCHED);
+    item *heap = SLOT(cx, item, PD_HEAP);
+    int64_t *out_v = SLOT(cx, int64_t, PD_OUT_V) + at;
+    double *out_d = SLOT(cx, double, PD_OUT_D) + at;
+    int64_t *cnt = SLOT(cx, int64_t, PD_CNT);
     int64_t loaded = 0, i = -1, o, m, root_off = 0;
     int64_t len = 0, nt = 0, k = 0, u = root, h, e;
     double d;
@@ -137,5 +160,52 @@ reset:
     for (i = 0; i < loaded; i++)
         tmp[ah[root_off + i]] = HUGE_VAL;
     tmp[root_rank] = HUGE_VAL;
+    return k;
+}
+
+/* Appends (hub, dists[j]) to L(verts[j]) for j in [i, k), in order, into
+ * the store's arena (off, size, cap: n items; ah, ad: na items; entries
+ * from end on unowned).  A full run moves to end with capacity
+ * max(2 cap, size + 1, run_min), as LabelStore._reserve moves it.  Each
+ * append publishes as every writer does: entries, then off, then size,
+ * with release stores.  Returns k when all are in; j when entry j's run
+ * is full and the arena has no room to move it (entries before j are in,
+ * none from j on); or -1, writing nothing, when hub is not an int32 or a
+ * vertex lies outside [0, n). */
+int64_t ls_append(int64_t *cx, int64_t hub, const int64_t *verts,
+                  const double *dists, int64_t i, int64_t k)
+{
+    const int64_t n = cx[LS_N], na = cx[LS_NA];
+    int64_t *off = SLOT(cx, int64_t, LS_OFF), *size = SLOT(cx, int64_t, LS_SIZE);
+    int64_t *cap = SLOT(cx, int64_t, LS_CAP);
+    int32_t *ah = SLOT(cx, int32_t, LS_AH);
+    double *ad = SLOT(cx, double, LS_AD);
+    int64_t j;
+    if (hub < INT32_MIN || hub > INT32_MAX)
+        return -1;
+    for (j = i; j < k; j++)
+        if (verts[j] < 0 || verts[j] >= n)
+            return -1;
+    for (; i < k; i++) {
+        int64_t v = verts[i], m = size[v], o = off[v];
+        if (m == cap[v]) {
+            int64_t end = cx[LS_END], c = 2 * cap[v];
+            if (c < m + 1)
+                c = m + 1;
+            if (c < cx[LS_RUN_MIN])
+                c = cx[LS_RUN_MIN];
+            if (c > na - end)
+                return i;
+            memcpy(ah + end, ah + o, m * sizeof *ah);
+            memcpy(ad + end, ad + o, m * sizeof *ad);
+            o = end;
+            cap[v] = c;
+            cx[LS_END] = end + c;
+        }
+        ah[o + m] = (int32_t)hub;
+        ad[o + m] = dists[i];
+        __atomic_store_n(&off[v], o, __ATOMIC_RELEASE);
+        __atomic_store_n(&size[v], m + 1, __ATOMIC_RELEASE);
+    }
     return k;
 }

@@ -28,21 +28,13 @@ no compiler or the store is frozen.  See DESIGN.md section 17.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import heapq
-import importlib.machinery
-import importlib.resources
-import logging
-import os
-import subprocess
-import tempfile
-import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.labels import LabelStore
+from repro.core import native
+from repro.core.labels import Delta, LabelStore
 from repro.core.query import clear_tmp, load_tmp
 from repro.errors import GraphError, OrderingError
 from repro.obs.instruments import record_search
@@ -50,95 +42,21 @@ from repro.graph.csr import CSRGraph
 from repro.graph.order import ordering_rank, validate_ordering
 from repro.types import INF, SearchStats
 
-__all__ = ["PrunedDijkstra"]
+__all__ = ["Delta", "PrunedDijkstra"]
 
-#: A delta: label entries ``(vertex, distance)`` contributed by one root.
-Delta = List[Tuple[int, float]]
-
-logger = logging.getLogger(__name__)
-
-#: The C compiler that builds the kernel.
-COMPILER = "cc"
-
-_SOURCE = "pruned_dijkstra.c"
 #: One heap entry of the kernel: ``struct {double d; int64_t v;}``.
 _HEAP_ITEM = np.dtype([("d", np.float64), ("v", np.int64)])
-_UNTRIED: Any = object()
-_kernel: Any = _UNTRIED
-_kernel_lock = threading.Lock()
-
-
-def _cache_dir() -> str:
-    """``$XDG_CACHE_HOME/parapll`` or ``~/.cache/parapll``, whichever is
-    writable first; else a private new directory under the temp dir."""
-    for base in (
-        os.environ.get("XDG_CACHE_HOME"),
-        os.path.join(os.path.expanduser("~"), ".cache"),
-    ):
-        if not base:
-            continue
-        path = os.path.join(base, "parapll")
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError:
-            continue
-        if os.access(path, os.W_OK):
-            return path
-    return tempfile.mkdtemp(prefix="parapll-")
-
-
-def _compile_kernel() -> Callable[..., int]:
-    """The kernel's ``pd_run``, compiled into the cache unless there.
-
-    The object's name carries the interpreter's ``EXT_SUFFIX`` (the
-    first extension suffix), which names the platform and ABI, beside
-    the source hash.  It is written to a per-process file and renamed
-    into place, so a concurrent process never loads half a file.
-    """
-    source = importlib.resources.files("repro.core").joinpath(_SOURCE)
-    key = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    path = os.path.join(_cache_dir(), f"pruned_dijkstra-{key}{suffix}")
-    if not os.path.exists(path):
-        part = f"{path}.{os.getpid()}.tmp"
-        try:
-            with importlib.resources.as_file(source) as src:
-                subprocess.run(
-                    [COMPILER, "-O2", "-shared", "-fPIC", str(src), "-o", part],
-                    check=True, capture_output=True, text=True, timeout=300,
-                )
-            os.replace(part, path)
-        finally:
-            if os.path.exists(part):
-                os.unlink(part)
-    # PyDLL keeps the GIL for the whole search (DESIGN.md section 17).
-    fn = ctypes.PyDLL(path).pd_run
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64] + [ptr] * 4 + [i64] + [ptr] * 3 + [i64, i64] + [ptr] * 7
-    fn.restype = i64
-    return fn
+#: Slots of the kernel's context array (``native.SEARCH_SLOTS``).
+_SLOT = {name: i for i, name in enumerate(native.SEARCH_SLOTS)}
+#: Entries per delta pool, at least; see :meth:`PrunedDijkstra._new_pool`.
+_POOL_MIN = 1 << 12
 
 
 def _load_kernel() -> Optional[Callable[..., int]]:
-    """The compiled per-root search, or None when it cannot be built.
-
-    Nothing compiles at import: the first call in a process compiles or
-    loads the cached object.  A failure is logged once per process, and
-    every engine then runs the Python loop.
-    """
-    global _kernel
-    with _kernel_lock:
-        if _kernel is _UNTRIED:
-            try:
-                _kernel = _compile_kernel()
-            except (OSError, subprocess.SubprocessError) as exc:
-                detail = (getattr(exc, "stderr", None) or str(exc)).strip()
-                logger.warning(
-                    "compiled pruned search unavailable, using the Python "
-                    "loop: %s", detail[-500:]
-                )
-                _kernel = None
-        return _kernel
+    """The compiled per-root search ``pd_run``, or None when the
+    library cannot be built (:func:`repro.core.native.load`)."""
+    lib = native.load()
+    return None if lib is None else lib.pd_run
 
 
 class PrunedDijkstra:
@@ -148,6 +66,14 @@ class PrunedDijkstra:
         graph: the graph to index.
         order: vertex ordering, most important first; hub "ranks" used in
             labels are positions in this ordering.
+
+    With the compiled kernel, one root costs one ``pd_run`` call in
+    :meth:`run` and one ``ls_append`` call, through
+    :meth:`LabelStore.add_root <repro.core.labels.LabelStore.add_root>`,
+    in :meth:`commit`.  ``pd_run`` reads every pointer from one context
+    array that the engine fills once; only the arena's slots change, when
+    the store hands over a new arena.  The delta it returns is a view of
+    an engine-owned pool, not a copy.
 
     Thread safety: instances hold mutable scratch state, so each worker
     thread must own its *own* ``PrunedDijkstra`` (they may share the
@@ -166,36 +92,49 @@ class PrunedDijkstra:
         self._adj: Optional[List[List[Tuple[int, float]]]] = None
         self._dist: List[float] = []
         self._tmp: List[float] = []
-        #: The last kernel delta: ``(copy of the list, verts, dists)``.
-        self._last: Optional[Tuple[Delta, np.ndarray, np.ndarray]] = None
         self._kernel = _load_kernel()
         if self._kernel is not None:
             n = graph.num_vertices
             # Contiguous arrays of the dtypes the C side reads; the
             # engine holds them so the pointers stay valid.
-            csr = (
-                np.ascontiguousarray(graph.indptr, dtype=np.int64),
-                np.ascontiguousarray(graph.indices, dtype=np.int32),
-                np.ascontiguousarray(graph.weights, dtype=np.float64),
-            )
-            self._out_v = np.empty(n, dtype=np.int64)
-            self._out_d = np.empty(n, dtype=np.float64)
+            indices = np.ascontiguousarray(graph.indices, dtype=np.int32)
             self._counts = np.zeros(6, dtype=np.int64)
-            scratch = (
-                np.full(n, INF),  # dist
-                np.full(n, INF),  # tmp
-                np.empty(n, dtype=np.int64),  # touched
-                np.empty(len(csr[1]) + 1, dtype=_HEAP_ITEM),  # heap
-                self._out_v,
-                self._out_d,
-                self._counts,
-            )
-            self._arrays = csr + scratch
-            self._csr_args = tuple(a.ctypes.data for a in csr)
-            self._scratch_args = tuple(a.ctypes.data for a in scratch)
-            # The store arena last scanned, and its pointers.
+            self._arrays = {
+                "indptr": np.ascontiguousarray(graph.indptr, dtype=np.int64),
+                "indices": indices,
+                "weights": np.ascontiguousarray(graph.weights, dtype=np.float64),
+                "dist": np.full(n, INF),
+                "tmp": np.full(n, INF),
+                "touched": np.empty(n, dtype=np.int64),
+                "heap": np.empty(len(indices) + 1, dtype=_HEAP_ITEM),
+                "cnt": self._counts,
+            }
+            self._cx = np.zeros(len(_SLOT), dtype=np.int64)
+            self._cx[_SLOT["n"]] = n
+            for name, array in self._arrays.items():
+                self._cx[_SLOT[name]] = array.ctypes.data
+            self._cx_addr = self._cx.ctypes.data
+            # The store arena last scanned (held, so its pointers stay
+            # valid), and the delta pool.
             self._scanned: Any = None
-            self._arena_args: Tuple[int, ...] = ()
+            self._new_pool()
+
+    def _new_pool(self) -> None:
+        """Fresh delta buffers for the kernel to write into.
+
+        Each delta is a view of the next free stretch, so it needs no
+        copy and its addresses are known; a pool lives as long as a
+        delta of it does.  Numpy sees the pools read-only.
+        """
+        size = max(_POOL_MIN, 2 * self.graph.num_vertices)
+        verts = np.empty(size, dtype=np.int64)
+        dists = np.empty(size, dtype=np.float64)
+        self._pool = (verts, dists, verts.ctypes.data, dists.ctypes.data)
+        self._cx[_SLOT["out_v"]] = self._pool[2]
+        self._cx[_SLOT["out_d"]] = self._pool[3]
+        verts.setflags(write=False)
+        dists.setflags(write=False)
+        self._at = 0
 
     # ------------------------------------------------------------------
     def run(
@@ -210,13 +149,15 @@ class PrunedDijkstra:
         Args:
             root: the root vertex (must belong to the bound graph).
             store: labels visible for pruning.  **Not mutated**: the
-                caller commits the returned delta (as entries with hub
-                ``rank[root]``) when its execution model says so.
+                caller commits the returned delta (with :meth:`commit`,
+                as entries with hub ``rank[root]``) when its execution
+                model says so.
             stats: optional counter object filled in place.
 
         Returns:
-            List of ``(vertex, distance)`` pairs: for each kept vertex
-            ``u``, the exact distance ``d(root, u)``.  The root itself is
+            A :class:`~repro.core.labels.Delta`: for each kept vertex
+            ``u``, in settling order, ``u`` in ``verts`` and the exact
+            distance ``d(root, u)`` in ``dists``.  The root itself is
             always first with distance 0.
 
         Raises:
@@ -234,18 +175,18 @@ class PrunedDijkstra:
                 f"label store holds {store.n} vertices, the graph {n}"
             )
         if arena is not self._scanned:
-            # A new arena (a compaction or a thaw): the engine keeps it
-            # alive while it holds the pointers.
+            # A new arena (a compaction or a thaw).
             self._scanned = arena
             off, size, ah, ad, _cap = arena
-            self._arena_args = (
+            self._cx[_SLOT["off"]:_SLOT["na"] + 1] = (
                 off.ctypes.data, size.ctypes.data, ah.ctypes.data,
                 ad.ctypes.data, len(ah),
             )
-        k = self._kernel(
-            n, *self._arena_args, *self._csr_args, root,
-            self._rank_list[root], *self._scratch_args,
-        )
+        at = self._at
+        if at + n > len(self._pool[0]):
+            self._new_pool()
+            at = 0
+        k = self._kernel(self._cx_addr, root, self._rank_list[root], at)
         counts = self._counts.tolist()
         if k < 0:
             v, i = counts[0], counts[1]
@@ -259,11 +200,12 @@ class PrunedDijkstra:
                 f"(ranks lie in [0, {n}))",
                 vertex=v, hub=hub,
             )
-        verts = self._out_v[:k].copy()
-        dists = self._out_d[:k].copy()
-        delta = list(zip(verts.tolist(), dists.tolist()))
-        self._last = (delta[:], verts, dists)
-        _report(root, len(delta), stats, *counts)
+        self._at = at + k
+        verts, dists, vptr, dptr = self._pool
+        delta = Delta.view(
+            verts[at:at + k], dists[at:at + k], vptr + 8 * at, dptr + 8 * at
+        )
+        _report(root, k, stats, *counts)
         return delta
 
     def _run_python(
@@ -294,7 +236,8 @@ class PrunedDijkstra:
         touched_dist: List[int] = [root]
         dist[root] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, root)]
-        delta: Delta = []
+        out_v: List[int] = []
+        out_d: List[float] = []
 
         n_settled = n_pruned = n_relax = n_push = n_pop = n_scan = 0
 
@@ -318,7 +261,8 @@ class PrunedDijkstra:
             if q <= d:
                 n_pruned += 1
                 continue
-            delta.append((u, d))
+            out_v.append(u)
+            out_d.append(d)
             for v, w in adj[u]:
                 nd = d + w
                 if nd < dist[v]:
@@ -335,25 +279,15 @@ class PrunedDijkstra:
         clear_tmp(tmp, touched_tmp)
 
         _report(
-            root, len(delta), stats,
+            root, len(out_v), stats,
             n_settled, n_pruned, n_relax, n_push, n_pop, n_scan,
         )
-        return delta
+        return Delta(out_v, out_d)
 
     # ------------------------------------------------------------------
     def commit(self, root: int, delta: Delta, store: LabelStore) -> None:
         """Append *delta* (from :meth:`run` on *root*) into *store*."""
-        if not delta:
-            return
-        last = self._last
-        if last is not None and delta == last[0]:
-            # The kernel's own arrays for this delta: no per-entry
-            # conversion.  The comparison is against a copy, so a delta
-            # changed since run() returned it is read afresh.
-            verts, dists = last[1], last[2]
-        else:
-            verts, dists = zip(*delta)
-        store.add_root(self._rank_list[root], verts, dists)
+        store.add_root(self._rank_list[root], delta)
 
     def rank_of(self, v: int) -> int:
         """Rank (indexing position) of vertex *v* under the bound ordering."""

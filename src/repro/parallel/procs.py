@@ -215,8 +215,8 @@ def _worker_main(
             log, synced = _sync_mirror(
                 store, log, log_meta, synced, own_ranks
             )
-            verts: List[int] = []
-            dists: List[float] = []
+            verts: List[np.ndarray] = []
+            dists: List[np.ndarray] = []
             ranks: List[int] = []
             per_root: List[Tuple[int, Optional[Tuple[int, ...]]]] = []
             for root in block:
@@ -230,8 +230,8 @@ def _worker_main(
                     delta = search.run(root, store, root_stats)
                     sp.set(labels=len(delta))
                 search.commit(root, delta, store)
-                verts.extend(v for v, _d in delta)
-                dists.extend(d for _v, d in delta)
+                verts.append(delta.verts)
+                dists.append(delta.dists)
                 ranks.append(search.rank_of(root))
                 per_root.append((len(delta), _pack_stats(root_stats)))
             root = None
@@ -239,9 +239,9 @@ def _worker_main(
             hub_ranks = np.repeat(own_ranks, [k for k, _s in per_root])
             conn.send((
                 "done",
-                np.array(verts, dtype=np.int64),
+                np.concatenate(verts, dtype=np.int64),
                 hub_ranks,
-                np.array(dists, dtype=np.float64),
+                np.concatenate(dists, dtype=np.float64),
                 per_root,
             ))
     except EOFError:

@@ -126,13 +126,10 @@ def build_parallel_threads(
                         SearchStats() if monitor is not None else None
                     )
                     delta = search.run(root, store, root_stats)
-                    root_rank = search.rank_of(root)
                     t_req = perf()
                     with commit_lock:
                         t_acq = perf()
-                        store.add_delta(
-                            (v, root_rank, d) for v, d in delta
-                        )
+                        search.commit(root, delta, store)
                     t_rel = perf()
                     sp.set(
                         labels=len(delta),

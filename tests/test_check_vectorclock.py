@@ -6,6 +6,7 @@ import pytest
 
 from repro.check import hooks
 from repro.check.corpus import run_race_corpus
+from repro.core.labels import Delta
 from repro.check.vectorclock import (
     ENV_FLAG,
     VCTrackedLock,
@@ -239,7 +240,7 @@ class TestWrappedStoreMutators:
     CALLS = {
         "add": lambda s: s.add(0, 1, 2.0),
         "add_delta": lambda s: s.add_delta([(0, 1, 2.0), (0, 2, 3.0)]),
-        "add_root": lambda s: s.add_root(1, [0, 2], [1.0, 2.0]),
+        "add_root": lambda s: s.add_root(1, Delta([0, 2], [1.0, 2.0])),
         "extend_from_arrays": lambda s: s.extend_from_arrays(
             [0, 0], [1, 2], [2.0, 3.0]
         ),

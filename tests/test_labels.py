@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.dijkstra import dijkstra_sssp
-from repro.core import labels
-from repro.core.labels import LabelStore
+from repro.core import labels, native
+from repro.core.labels import Delta, LabelStore
 from repro.errors import GraphError, NotIndexedError
 from repro.generators.random_graphs import gnm_random_graph
 
@@ -515,3 +515,102 @@ class TestConcurrentArena:
             truth = dijkstra_sssp(graph, s)
             for t in range(graph.num_vertices):
                 assert index.distance(s, t) == pytest.approx(truth[t])
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def append_path(request, monkeypatch):
+    """Run a test once with ``add_root`` in C and once through numpy."""
+    if request.param == "compiled":
+        if native.load() is None:
+            pytest.skip("no C compiler: the compiled append is unavailable")
+    else:
+        monkeypatch.setattr(native, "load", lambda: None)
+    return request.param
+
+
+class TestDelta:
+    def test_arrays_pairs_and_equality(self):
+        delta = Delta([3, 1], [0.0, 2.5])
+        assert delta.verts.dtype == np.int64 and delta.dists.dtype == np.float64
+        assert not delta.verts.flags.writeable
+        assert not delta.dists.flags.writeable
+        assert len(delta) == 2 and delta[1] == (1, 2.5)
+        assert list(delta) == [(3, 0.0), (1, 2.5)]
+        assert delta == [(3, 0.0), (1, 2.5)] == Delta([3, 1], [0, 2.5])
+        assert delta != Delta([3, 1], [0.0, 2.0])
+        assert Delta([], []) == []
+
+    @pytest.mark.parametrize(
+        "verts, dists",
+        [([0, 1], [1.0]), ([0.5], [1.0]), ([0], ["far"]), ([0], [float("nan")])],
+    )
+    def test_malformed_rejected(self, verts, dists):
+        with pytest.raises(GraphError):
+            Delta(verts, dists)
+
+
+class TestAddRoot:
+    def test_tiny_arena_matches_numpy_append(self, monkeypatch):
+        """A serial build's deltas into a store with a tiny arena: the
+        compiled append moves runs itself and comes back only to
+        compact, and the finalized arrays are byte for byte those of the
+        numpy append."""
+        if native.load() is None:
+            pytest.skip("no C compiler: the compiled append is unavailable")
+        from repro.core.pruned_dijkstra import PrunedDijkstra
+        from repro.graph.order import by_degree
+
+        monkeypatch.setattr(labels, "_ARENA_MIN", 8)
+        graph = gnm_random_graph(120, 400, seed=5)
+        engine = PrunedDijkstra(graph, by_degree(graph))
+        compiled = LabelStore(graph.num_vertices)
+        plain = LabelStore(graph.num_vertices)
+        moves = compactions = 0
+        for root in engine.order.tolist():
+            delta = engine.run(root, compiled)
+            arena = compiled.arena()
+            off = arena[0].copy()
+            engine.commit(root, delta, compiled)
+            if compiled.arena() is not arena:
+                compactions += 1
+            elif (arena[0] != off).any():
+                moves += 1
+            with monkeypatch.context() as m:
+                m.setattr(native, "load", lambda: None)
+                engine.commit(root, delta, plain)
+        assert moves > 10 and compactions > 3
+        compiled.finalize()
+        plain.finalize()
+        for a, b in zip(compiled.finalized_arrays(), plain.finalized_arrays()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "hub, verts, why",
+        [
+            (0, [1, 4], "vertex is not"),
+            (0, [-1], "vertex is not"),
+            (2**31, [1], "int32"),
+            (-(2**31) - 1, [1], "int32"),
+            (1.5, [1], "int32"),
+            (2**63, [1], "int32"),
+        ],
+    )
+    def test_bad_entry_leaves_store_unchanged(self, append_path, hub, verts, why):
+        store = LabelStore(4)
+        store.add_root(0, Delta([0, 1, 2], [0.0, 1.0, 2.0]))
+        before = [a.copy() for a in store.arena()]
+        delta = Delta(verts, [1.0] * len(verts))
+        with pytest.raises(GraphError, match=why):
+            store.add_root(hub, delta)
+        for a, b in zip(store.arena(), before):
+            np.testing.assert_array_equal(a, b)
+        assert store.entries_of(1) == [(0, 1.0)]
+
+    def test_appends_in_order_and_thaws(self, append_path):
+        store = LabelStore(3)
+        assert store.add_root(0, Delta([2, 0], [1.0, 2.0])) == 2
+        assert store.add_root(1, Delta([], [])) == 0
+        frozen = LabelStore.from_arrays(**store.to_arrays())
+        assert frozen.add_root(1, Delta([0], [3.0])) == 1
+        assert frozen.entries_of(0) == [(0, 2.0), (1, 3.0)]
+        assert frozen.entries_of(2) == [(0, 1.0)]

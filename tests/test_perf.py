@@ -376,11 +376,34 @@ class TestCheckOverheadWorkload:
         assert metrics["vc_races"]["value"] == 0.0
 
     def test_hook_table_budgets(self):
-        # One row per hook; the budgets are fractions of the plain path.
-        table = {name: (plain, budget) for name, _r, plain, budget in HOOKS}
+        # One row per hook; the budgets are in reference-loop walls.
+        table = {name: budget for name, _r, budget in HOOKS}
         assert table == {
-            "buildmon": ("serial_build", 0.05),
-            "qlog": ("served_request", 0.05),
-            "vc": ("threads_build", 0.10),
-            "flightrec": ("threads_build", 0.05),
+            "buildmon": 0.147,
+            "qlog": 0.530,
+            "vc": 1.47,
+            "flightrec": 0.674,
         }
+
+    def test_padded_replay_flips_its_row(self, monkeypatch):
+        """The buildmon replay reads within its budget, and the same
+        replay run twice per timed call reads over it: the verdict moves
+        with the hook's own work."""
+        from repro.obs import perf
+
+        name, replay, budget = next(h for h in HOOKS if h[0] == "buildmon")
+
+        def padded(ctx):
+            arm, pins = replay(ctx)
+
+            def arm_twice():
+                loops = arm(), arm()
+                return lambda: [loop() for loop in loops]
+
+            return arm_twice, pins
+
+        ctx = PerfContext(scale=1.0, seed=42, dataset="Gnutella")
+        for hook, flag in ((replay, 0.0), (padded, 1.0)):
+            monkeypatch.setattr(perf, "HOOKS", ((name, hook, budget),))
+            metrics = perf._wl_hook_overhead(ctx)
+            assert metrics["buildmon_over_budget"]["value"] == flag

@@ -19,7 +19,7 @@ from repro.cluster.parapll import simulate_cluster
 from repro.cluster.runner import run_cluster_threads
 from repro.core import pruned_dijkstra
 from repro.core.index import PLLIndex
-from repro.core.labels import LabelStore
+from repro.core.labels import Delta, LabelStore
 from repro.core.pruned_dijkstra import PrunedDijkstra
 from repro.core.query import query_distance, query_numpy
 from repro.core.serial import build_serial
@@ -204,8 +204,8 @@ def _assert_exact(index, graph):
 @settings(max_examples=80, deadline=None)
 @example(GraphBuilder(num_vertices=1).build(), 0)
 def test_kernel_matches_reference_loop(graph, seed):
-    """Same delta and the same six counters per root, then the same
-    finalized labels, entry for entry."""
+    """Same delta arrays and the same six counters per root, then the
+    same finalized labels, entry for entry."""
     order = by_random(graph, seed=seed)
     kernel = PrunedDijkstra(graph, order)
     with _reference_loop():
@@ -218,7 +218,12 @@ def test_kernel_matches_reference_loop(graph, seed):
             engine.run(root, store, st_)
             for engine, store, st_ in zip((kernel, reference), stores, stats)
         ]
-        assert deltas[0] == deltas[1]
+        for a, b in zip(
+            (deltas[0].verts, deltas[0].dists), (deltas[1].verts, deltas[1].dists)
+        ):
+            assert a.dtype == b.dtype and not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+        assert len(deltas[0]) == stats[0].labels_added
         assert stats[0] == stats[1]
         for engine, store, delta in zip((kernel, reference), stores, deltas):
             engine.commit(root, delta, store)
@@ -360,7 +365,7 @@ def test_label_arena_matches_list_model(steps):
                 h, verts = args
                 verts = sorted(verts)
                 dists = [float(v) / 2 for v in verts]
-                assert store.add_root(h, verts, dists) == len(verts)
+                assert store.add_root(h, Delta(verts, dists)) == len(verts)
                 for v, d in zip(verts, dists):
                     model[v].append((h, d))
             elif op == "merge_from":

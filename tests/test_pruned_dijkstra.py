@@ -10,7 +10,7 @@ import sysconfig
 import numpy as np
 import pytest
 
-from repro.core import pruned_dijkstra
+from repro.core import native, pruned_dijkstra
 from repro.core.labels import LabelStore
 from repro.core.pruned_dijkstra import PrunedDijkstra
 from repro.core.serial import build_serial
@@ -266,9 +266,9 @@ class TestKernelBuild:
         assert b"pd_run" in source.read_bytes()
 
     def test_compiles_into_cache_keyed_by_source(self, monkeypatch, tmp_path):
-        if shutil.which(pruned_dijkstra.COMPILER) is None:
+        if shutil.which(native.COMPILER) is None:
             pytest.skip("no C compiler")
-        monkeypatch.setattr(pruned_dijkstra, "_kernel", pruned_dijkstra._UNTRIED)
+        monkeypatch.setattr(native, "_lib", native._UNTRIED)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert pruned_dijkstra._load_kernel() is not None
         source = importlib.resources.files("repro.core").joinpath(
@@ -286,16 +286,14 @@ class TestKernelBuild:
         """No compiler and an empty cache: one warning per process, and
         the Python loop builds the same labels as the default build."""
         expected, _ = build_serial(random_graph)
-        monkeypatch.setattr(pruned_dijkstra, "_kernel", pruned_dijkstra._UNTRIED)
-        monkeypatch.setattr(
-            pruned_dijkstra, "COMPILER", str(tmp_path / "no-such-cc")
-        )
+        monkeypatch.setattr(native, "_lib", native._UNTRIED)
+        monkeypatch.setattr(native, "COMPILER", str(tmp_path / "no-such-cc"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        with caplog.at_level(logging.WARNING, logger=pruned_dijkstra.__name__):
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
             stores = [build_serial(random_graph)[0] for _ in range(2)]
         warnings = [
             r for r in caplog.records
-            if r.name == pruned_dijkstra.__name__ and r.levelno == logging.WARNING
+            if r.name == native.__name__ and r.levelno == logging.WARNING
         ]
         assert len(warnings) == 1
         assert "using the Python loop" in warnings[0].getMessage()

@@ -100,6 +100,9 @@ def test_poisoned_root_fails_fast(random_graph, monkeypatch):
                 raise ValueError(f"poisoned root {root}")
             return self._inner.run(root, store, stats)
 
+        def commit(self, root, delta, store):
+            return self._inner.commit(root, delta, store)
+
         def rank_of(self, v):
             return self._inner.rank_of(v)
 
