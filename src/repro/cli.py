@@ -1077,7 +1077,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--pairs", default=None,
         help="file of 's t' pairs (one per line): answer all of them "
-        "with the vectorised batch kernel",
+        "with one batch query",
     )
     q.add_argument(
         "--mmap", action="store_true",

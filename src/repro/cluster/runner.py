@@ -113,6 +113,7 @@ def cluster_rank_program(
                 if src != rank
                 for entry in triples
             )
+    engine.flush_metrics()
     return store
 
 

@@ -2,7 +2,9 @@
 
 Every builder (serial, threaded, simulated, cluster) runs some *engine*
 with the ``run(root, store, stats) -> delta`` / ``commit`` / ``rank_of``
-interface.  Two engines exist:
+/ ``flush_metrics`` interface, calling ``flush_metrics`` once at the end
+of its loop to add the searches' counters to the metrics.  Two engines
+exist:
 
 * ``"dijkstra"`` — the paper's weighted pruned Dijkstra (Algorithm 1).
 * ``"bfs"`` — the original unweighted pruned BFS (ignores weights,

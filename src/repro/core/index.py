@@ -132,15 +132,15 @@ class PLLIndex:
         return self.store.n
 
     def distance(self, s: int, t: int) -> float:
-        """Shortest-path distance between *s* and *t* (``inf`` if none)."""
-        self._check_vertex(s)
-        self._check_vertex(t)
+        """Shortest-path distance between *s* and *t* (``inf`` if none).
+
+        Raises:
+            GraphError: for *s* or *t* outside ``[0, n)``.
+        """
         return query_distance(self.store, s, t)
 
     def query(self, s: int, t: int) -> QueryResult:
         """Distance plus the meeting hub (as a vertex id) and scan cost."""
-        self._check_vertex(s)
-        self._check_vertex(t)
         res = query_result(self.store, s, t)
         if res.hub is None:
             return res
@@ -170,10 +170,9 @@ class PLLIndex:
     def distance_batch(self, pairs) -> np.ndarray:
         """Distances for an ``(m, 2)`` array of ``(s, t)`` pairs.
 
-        One vectorised merge join over the flat label arrays
+        One compiled call loops the merge join over every pair
         (:func:`~repro.core.query.query_distance_batch`); bit-identical
-        to calling :meth:`distance` per pair, much faster for large
-        batches.
+        to calling :meth:`distance` per pair.
 
         Returns:
             float64 array of length *m*; ``inf`` for unreachable pairs.

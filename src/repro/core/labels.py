@@ -62,6 +62,9 @@ _INT32 = np.iinfo(np.int32)
 #: ``(off, size, ah, ad, cap)``: see :meth:`LabelStore.arena`.
 Arena = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+#: The finalized CSR triple ``(indptr, hubs, dists)``.
+Csr = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: Slots of the store's context array (``native.STORE_SLOTS``).
 _SLOT = {name: i for i, name in enumerate(native.STORE_SLOTS)}
 
@@ -261,6 +264,18 @@ def _validate_csr(
         raise GraphError(f"label hubs of vertex {v} are {kind}")
 
 
+def _contiguous(a: object, dtype: type) -> np.ndarray:
+    """*a* as a C-contiguous array of the native *dtype*; an array that
+    already is one, an ``np.memmap`` included, is returned as it is."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.flags.c_contiguous
+    ):
+        return a
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
 def _entry_fault(n: int, v: object, h: object, d: object) -> Optional[str]:
     """Why ``(v, h, d)`` cannot be a label entry of an *n*-vertex store,
     or None."""
@@ -301,6 +316,7 @@ class LabelStore:
         "_finalized_indptr",
         "_finalized_hubs",
         "_finalized_dists",
+        "_query",
     )
 
     #: The public methods that change the labels.  The race detector's
@@ -320,9 +336,7 @@ class LabelStore:
             np.empty(_ARENA_MIN, dtype=np.float64),
             runs.copy(),
         ), 0)
-        self._finalized_indptr: Optional[np.ndarray] = None
-        self._finalized_hubs: Optional[np.ndarray] = None
-        self._finalized_dists: Optional[np.ndarray] = None
+        self._set_finalized(None)
 
     # ------------------------------------------------------------------
     # Arena management
@@ -363,9 +377,39 @@ class LabelStore:
         self._invalidate()
 
     def _invalidate(self) -> None:
-        self._finalized_indptr = None
-        self._finalized_hubs = None
-        self._finalized_dists = None
+        self._set_finalized(None)
+
+    def _set_finalized(self, triple: Optional[Csr]) -> None:
+        """Adopt *triple*, C-contiguous ``(indptr: int64, hubs: int64,
+        dists: float64)`` arrays, as the finalized labels, or drop them
+        (None).
+
+        Fills the query context (``native.QUERY_SLOTS``) of
+        :meth:`query_context`.  The per-vertex slices and the context
+        read plain ``ndarray`` views of the arrays (copies, should one
+        not be C-contiguous of its dtype): element access on an
+        ``np.memmap`` costs several times more, and a view keeps the
+        mapping alive.
+        """
+        if triple is None:
+            self._finalized_indptr = None
+            self._finalized_hubs = None
+            self._finalized_dists = None
+            self._query = None
+            return
+        self._finalized_indptr, self._finalized_hubs, self._finalized_dists = (
+            triple
+        )
+        indptr, hubs, dists = views = tuple(
+            _contiguous(a, dtype).view(np.ndarray)
+            for a, dtype in zip(triple, (np.int64, np.int64, np.float64))
+        )
+        slots = {
+            "n": self.n, "ne": len(hubs), "indptr": indptr.ctypes.data,
+            "hubs": hubs.ctypes.data, "dists": dists.ctypes.data,
+        }
+        cx = np.array([slots[name] for name in native.QUERY_SLOTS], np.int64)
+        self._query = (cx.ctypes.data, cx) + views
 
     def _reserve(self, verts: np.ndarray, need: np.ndarray) -> None:
         """Give each run of *verts* room for *need* entries: move it to
@@ -689,37 +733,49 @@ class LabelStore:
         """
         if self._arena is None:
             return
-        indptr, hubs, dists = _sort_dedup_flat(self.n, self._arena)
-        self._finalized_indptr = indptr
-        self._finalized_hubs = hubs
-        self._finalized_dists = dists
+        self._set_finalized(_sort_dedup_flat(self.n, self._arena))
         self._set_arena(None, 0)
 
     def finalized_hubs(self, v: int) -> np.ndarray:
         """Sorted, deduplicated hub ranks of ``L(v)``: a zero-copy slice
-        of the flat CSR array (after finalize)."""
-        if self._finalized_hubs is None:
+        of the flat CSR array (after finalize), a plain ``ndarray`` also
+        when the array is memory-mapped."""
+        query = self._query
+        if query is None:
             raise NotIndexedError("call LabelStore.finalize() first")
-        indptr = self._finalized_indptr
-        return self._finalized_hubs[int(indptr[v]):int(indptr[v + 1])]
+        indptr = query[2]
+        return query[3][indptr.item(v):indptr.item(v + 1)]
 
     def finalized_dists(self, v: int) -> np.ndarray:
         """Distances parallel to :meth:`finalized_hubs` (zero-copy)."""
-        if self._finalized_dists is None:
+        query = self._query
+        if query is None:
             raise NotIndexedError("call LabelStore.finalize() first")
-        indptr = self._finalized_indptr
-        return self._finalized_dists[int(indptr[v]):int(indptr[v + 1])]
+        indptr = query[2]
+        return query[4][indptr.item(v):indptr.item(v + 1)]
 
     def finalized_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flat CSR triple ``(indptr, hubs, dists)`` (finalizing
         first if needed).
 
-        This is the sanctioned accessor for vectorised kernels (the
-        batch query) and serialisation; the arrays are shared with the
-        store — treat them as read-only.
+        This is the sanctioned accessor for vectorised passes over the
+        whole triple (stats, audit) and serialisation; the arrays are
+        shared with the store — treat them as read-only.
         """
         self.finalize()
         return self._finalized_indptr, self._finalized_hubs, self._finalized_dists
+
+    def query_context(self) -> Optional[Tuple[object, ...]]:
+        """The finalized labels' query context, or None before
+        :meth:`finalize`.
+
+        A tuple whose first item is the address of an int64 array laid
+        out as ``native.QUERY_SLOTS``, for ``pq_join`` and ``pq_batch``
+        (:mod:`repro.core.query`); the rest hold that array and the
+        arrays it points into, so a caller holding the tuple keeps every
+        pointer valid even if the store thaws meanwhile.
+        """
+        return self._query
 
     def memory_breakdown(self) -> Dict[str, object]:
         """Per-array memory attribution of the finalized CSR triple.
@@ -833,7 +889,8 @@ class LabelStore:
         arena, no re-sort, no re-dedup); the returned
         store is frozen until the first mutation thaws it.  Memory-mapped
         arrays are adopted as-is, so a loaded index can serve queries
-        without materialising the labels in RAM.
+        without materialising the labels in RAM; only arrays that are
+        not C-contiguous or of another dtype are copied.
 
         Args:
             indptr: int64 ``n+1`` CSR row pointer.
@@ -847,14 +904,9 @@ class LabelStore:
             GraphError: for structurally invalid arrays (with the
                 offending vertex named).
         """
-        # Keep np.memmap instances as-is (asarray would strip the
-        # subclass); only coerce when the dtype is off.
-        if not (isinstance(indptr, np.ndarray) and indptr.dtype == np.int64):
-            indptr = np.asarray(indptr, dtype=np.int64)
-        if not (isinstance(hubs, np.ndarray) and hubs.dtype == np.int64):
-            hubs = np.asarray(hubs, dtype=np.int64)
-        if not (isinstance(dists, np.ndarray) and dists.dtype == np.float64):
-            dists = np.asarray(dists, dtype=np.float64)
+        indptr = _contiguous(indptr, np.int64)
+        hubs = _contiguous(hubs, np.int64)
+        dists = _contiguous(dists, np.float64)
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(hubs):
             raise GraphError("invalid label indptr")
         if len(hubs) != len(dists):
@@ -865,9 +917,7 @@ class LabelStore:
         store.n = len(indptr) - 1
         store._arena = None
         store._new_context()
-        store._finalized_indptr = indptr
-        store._finalized_hubs = hubs
-        store._finalized_dists = dists
+        store._set_finalized((indptr, hubs, dists))
         return store
 
     @classmethod

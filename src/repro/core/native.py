@@ -1,6 +1,7 @@
-"""The compiled half of the build: ``pruned_dijkstra.c``, built on demand.
+"""The compiled half of the build and the query: ``pruned_dijkstra.c``,
+built on demand.
 
-The C file holds two entry points, both called with one int64 context
+The C file holds four entry points, each called with one int64 context
 array of pointers and lengths:
 
 * ``pd_run(cx, root, root_rank, at)`` — one root's pruned search, for
@@ -10,11 +11,22 @@ array of pointers and lengths:
   into a label arena in place, for
   :meth:`LabelStore.add_root <repro.core.labels.LabelStore.add_root>`;
   its context is laid out as :data:`STORE_SLOTS`.
+* ``pq_join(cx, s, t, out)`` — one distance query, a merge join of two
+  finalized labels, for :func:`~repro.core.query.query_distance` and
+  :func:`~repro.core.query.query_result`; and
+  ``pq_batch(cx, pairs, m, out)``, the same join looped over *m* pairs,
+  for :func:`~repro.core.query.query_distance_batch`.  Their context,
+  laid out as :data:`QUERY_SLOTS`, belongs to the finalized store
+  (:meth:`LabelStore.query_context
+  <repro.core.labels.LabelStore.query_context>`).
 
-Nothing compiles at import: the first :func:`load` in a process compiles
-the source into a cache, or loads the object already there.  Without a
-compiler it logs one warning and returns None, and the callers run
-their Python code instead.  See DESIGN.md section 17.
+Every call holds the GIL (``ctypes.PyDLL``).  Nothing compiles at
+import: the first :func:`load` in a process compiles the source into a
+cache, or loads the object already there; the query path calls it on
+its first query, so a server's start never waits for a compile.
+Without a compiler it logs one warning and returns None, and the
+callers run their Python code instead: the search loop, the numpy
+append, and the Python merge join.  See DESIGN.md section 17.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import tempfile
 import threading
 from typing import Any, Optional
 
-__all__ = ["COMPILER", "SEARCH_SLOTS", "STORE_SLOTS", "load"]
+__all__ = ["COMPILER", "QUERY_SLOTS", "SEARCH_SLOTS", "STORE_SLOTS", "load"]
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +62,9 @@ SEARCH_SLOTS = (
 STORE_SLOTS = (
     "n", "run_min", "off", "size", "ah", "ad", "cap", "na", "end",
 )
+#: Context slots of ``pq_join`` and ``pq_batch``, in the C enum's order:
+#: the vertex count, the finalized CSR arrays and the entry count.
+QUERY_SLOTS = ("n", "indptr", "hubs", "dists", "ne")
 
 _SOURCE = "pruned_dijkstra.c"
 _UNTRIED: Any = object()
@@ -107,6 +122,10 @@ def _compile() -> ctypes.PyDLL:
     lib.pd_run.restype = i64
     lib.ls_append.argtypes = [ptr, i64, ptr, ptr, i64, i64]
     lib.ls_append.restype = i64
+    lib.pq_join.argtypes = [ptr, i64, i64, ptr]
+    lib.pq_join.restype = ctypes.c_double
+    lib.pq_batch.argtypes = [ptr, ptr, i64, ptr]
+    lib.pq_batch.restype = i64
     return lib
 
 
@@ -128,7 +147,7 @@ def load() -> Optional[ctypes.PyDLL]:
             except (OSError, subprocess.SubprocessError) as exc:
                 detail = (getattr(exc, "stderr", None) or str(exc)).strip()
                 logger.warning(
-                    "compiled pruned search unavailable, using the Python "
+                    "compiled kernels unavailable, using the Python "
                     "loop: %s", detail[-500:]
                 )
                 _lib = None

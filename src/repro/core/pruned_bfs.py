@@ -23,7 +23,7 @@ from repro.core.query import clear_tmp, load_tmp
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.order import ordering_rank, validate_ordering
-from repro.obs.instruments import record_search
+from repro.obs.instruments import SearchTally
 from repro.types import INF, SearchStats
 
 __all__ = ["PrunedBFS"]
@@ -49,6 +49,7 @@ class PrunedBFS:
         n = graph.num_vertices
         self._dist: List[float] = [INF] * n
         self._tmp: List[float] = [INF] * n
+        self._tally = SearchTally()
 
     def run(
         self, root: int, store: LabelStore, stats: Optional[SearchStats] = None
@@ -102,7 +103,7 @@ class PrunedBFS:
             dist[v] = INF
         clear_tmp(tmp, touched_tmp)
 
-        record_search(n_settled, n_pruned, len(out_v), n_settled, n_scan)
+        self._tally.add(n_settled, n_pruned, len(out_v), n_settled, n_scan)
         if stats is not None:
             stats.root = root
             stats.settled = n_settled
@@ -117,6 +118,11 @@ class PrunedBFS:
     def commit(self, root: int, delta: Delta, store: LabelStore) -> None:
         """Append *delta* (from :meth:`run` on *root*) into *store*."""
         store.add_root(self._rank_list[root], delta)
+
+    def flush_metrics(self) -> None:
+        """Add the searches run since the last flush to the build
+        counters; every builder calls it once at the end of its loop."""
+        self._tally.flush()
 
     def rank_of(self, v: int) -> int:
         """Rank of vertex *v* under the bound ordering."""

@@ -1,14 +1,16 @@
-/* One root's pruned Dijkstra (Algorithm 1), compiled, and the label
- * store's in-place append.  The Python loop in pruned_dijkstra.py stays
- * the reference: the same lazy-deletion heap in (dist, vertex) order,
- * tmp-array pruning query, delta and six counters.  Both entry points
- * work on the label store's arena (labels.py): vertex v's label is
+/* One root's pruned Dijkstra (Algorithm 1), compiled, the label store's
+ * in-place append, and the finalized store's distance query.  The
+ * Python loop in pruned_dijkstra.py stays the reference: the same
+ * lazy-deletion heap in (dist, vertex) order, tmp-array pruning query,
+ * delta and six counters.  The search and the append work on the label
+ * store's arena (labels.py): vertex v's label is
  * ah[off[v]:off[v] + size[v]] (int32 hub ranks) with ad alongside
- * (float64 distances), in room for cap[v] entries.  They are called
- * through ctypes.PyDLL, which keeps the GIL.  Each takes one context
- * array of int64 slots, pointers and lengths, that the caller fills
- * from arrays it validated and owns (native.py names the slots);
- * nothing here allocates. */
+ * (float64 distances), in room for cap[v] entries.  The query reads the
+ * finalized CSR instead, with query.py's merge join as its reference.
+ * All are called through ctypes.PyDLL, which keeps the GIL.  Each takes
+ * one context array of int64 slots, pointers and lengths, that the
+ * caller fills from arrays it validated and owns (native.py names the
+ * slots); nothing here allocates. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -25,6 +27,10 @@ enum { PD_N, PD_OFF, PD_SIZE, PD_AH, PD_AD, PD_NA, PD_INDPTR, PD_INDICES,
 /* The store context (native.STORE_SLOTS); END is read and written. */
 enum { LS_N, LS_RUN_MIN, LS_OFF, LS_SIZE, LS_AH, LS_AD, LS_CAP, LS_NA,
        LS_END };
+
+/* The query context (native.QUERY_SLOTS), and pq_join's error codes. */
+enum { PQ_N, PQ_INDPTR, PQ_HUBS, PQ_DISTS, PQ_NE };
+enum { PQ_VERTEX = -2, PQ_RUN = -3 };
 
 #define SLOT(cx, type, i) ((type *)(intptr_t)(cx)[i])
 
@@ -208,4 +214,86 @@ int64_t ls_append(int64_t *cx, int64_t hub, const int64_t *verts,
         __atomic_store_n(&size[v], m + 1, __ATOMIC_RELEASE);
     }
     return k;
+}
+
+/* QUERY(s, t): one merge join of L(s) and L(t) over the finalized CSR
+ * (indptr: n + 1 items; hubs and dists: ne items; the hubs of each run
+ * strictly increasing).  Returns the least float64 sum d(u, s) + d(u, t)
+ * over the common hubs u, inf when there is none, and 0 when s == t.
+ * When out is not NULL it writes out[0] = the first hub reaching that
+ * least sum, or -1, and out[1] = the entries consumed (i + j).  Returns
+ * NaN, which no least sum can be, when s or t lies outside [0, n)
+ * (out[0] = PQ_VERTEX) or a run lies outside [0, ne] (out[0] = PQ_RUN),
+ * with out[1] = that vertex. */
+double pq_join(const int64_t *cx, int64_t s, int64_t t, int64_t *out)
+{
+    const int64_t n = cx[PQ_N], ne = cx[PQ_NE];
+    const int64_t *indptr = SLOT(cx, const int64_t, PQ_INDPTR);
+    const int64_t *hubs = SLOT(cx, const int64_t, PQ_HUBS);
+    const double *dists = SLOT(cx, const double, PQ_DISTS);
+    int64_t i = 0, j = 0, i0 = 0, j0 = 0, ei, ej, hub = -1, bad, code;
+    double best = HUGE_VAL;
+    code = PQ_VERTEX;
+    bad = s;
+    if (s < 0 || s >= n)
+        goto fail;
+    bad = t;
+    if (t < 0 || t >= n)
+        goto fail;
+    if (s == t) {
+        best = 0.0;
+        goto done;
+    }
+    code = PQ_RUN;
+    bad = s;
+    i0 = i = indptr[s], ei = indptr[s + 1];
+    if (i < 0 || i > ei || ei > ne)
+        goto fail;
+    bad = t;
+    j0 = j = indptr[t], ej = indptr[t + 1];
+    if (j < 0 || j > ej || ej > ne)
+        goto fail;
+    while (i < ei && j < ej) {
+        int64_t a = hubs[i], b = hubs[j];
+        if (a == b) {
+            double sum = dists[i] + dists[j];
+            if (sum < best) {
+                best = sum;
+                hub = a;
+            }
+            i++, j++;
+        } else if (a < b) {
+            i++;
+        } else {
+            j++;
+        }
+    }
+done:
+    if (out) {
+        out[0] = hub;
+        out[1] = (i - i0) + (j - j0);
+    }
+    return best;
+fail:
+    if (out) {
+        out[0] = code;
+        out[1] = bad;
+    }
+    return NAN;
+}
+
+/* pq_join over m (s, t) pairs: pairs holds 2m items, out m.  Returns m,
+ * or the index of the first pair pq_join rejects, leaving out from
+ * there unwritten. */
+int64_t pq_batch(const int64_t *cx, const int64_t *pairs, int64_t m,
+                 double *out)
+{
+    int64_t k;
+    for (k = 0; k < m; k++) {
+        double d = pq_join(cx, pairs[2 * k], pairs[2 * k + 1], NULL);
+        if (d != d)
+            return k;
+        out[k] = d;
+    }
+    return m;
 }

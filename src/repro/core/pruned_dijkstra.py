@@ -37,7 +37,7 @@ from repro.core import native
 from repro.core.labels import Delta, LabelStore
 from repro.core.query import clear_tmp, load_tmp
 from repro.errors import GraphError, OrderingError
-from repro.obs.instruments import record_search
+from repro.obs.instruments import SearchTally
 from repro.graph.csr import CSRGraph
 from repro.graph.order import ordering_rank, validate_ordering
 from repro.types import INF, SearchStats
@@ -92,6 +92,7 @@ class PrunedDijkstra:
         self._adj: Optional[List[List[Tuple[int, float]]]] = None
         self._dist: List[float] = []
         self._tmp: List[float] = []
+        self._tally = SearchTally()
         self._kernel = _load_kernel()
         if self._kernel is not None:
             n = graph.num_vertices
@@ -205,7 +206,7 @@ class PrunedDijkstra:
         delta = Delta.view(
             verts[at:at + k], dists[at:at + k], vptr + 8 * at, dptr + 8 * at
         )
-        _report(root, k, stats, *counts)
+        _report(self._tally, root, k, stats, *counts)
         return delta
 
     def _run_python(
@@ -279,7 +280,7 @@ class PrunedDijkstra:
         clear_tmp(tmp, touched_tmp)
 
         _report(
-            root, len(out_v), stats,
+            self._tally, root, len(out_v), stats,
             n_settled, n_pruned, n_relax, n_push, n_pop, n_scan,
         )
         return Delta(out_v, out_d)
@@ -289,6 +290,11 @@ class PrunedDijkstra:
         """Append *delta* (from :meth:`run` on *root*) into *store*."""
         store.add_root(self._rank_list[root], delta)
 
+    def flush_metrics(self) -> None:
+        """Add the searches run since the last flush to the build
+        counters; every builder calls it once at the end of its loop."""
+        self._tally.flush()
+
     def rank_of(self, v: int) -> int:
         """Rank (indexing position) of vertex *v* under the bound ordering."""
         if not 0 <= v < len(self.rank):
@@ -297,6 +303,7 @@ class PrunedDijkstra:
 
 
 def _report(
+    tally: SearchTally,
     root: int,
     labels: int,
     stats: Optional[SearchStats],
@@ -307,8 +314,8 @@ def _report(
     pops: int,
     scanned: int,
 ) -> None:
-    """Record one search's counters, and copy them into *stats*."""
-    record_search(settled, pruned, labels, pops, scanned)
+    """Count one search in *tally*, and copy its counters into *stats*."""
+    tally.add(settled, pruned, labels, pops, scanned)
     if stats is not None:
         stats.root = root
         stats.settled = settled

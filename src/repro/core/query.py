@@ -4,31 +4,35 @@ Given labels ``L(s)`` and ``L(t)``, the distance is::
 
     min over common hubs u of  d(u, s) + d(u, t)
 
-Three implementations with identical results:
+:func:`query_distance`, :func:`query_result` and
+:func:`query_distance_batch` serve it with one merge join over the
+finalized (sorted) labels: the compiled ``pq_join`` (``pq_batch`` loops
+it over a batch), or without a compiler its Python reference
+:func:`merge_join`; both answer bit for bit alike.  The other joins:
 
-* :func:`query_distance` — two-pointer merge join over finalized
-  (sorted) labels; the production query path.
+* :func:`query_candidates` keeps every common hub, for EXPLAIN.
 * :func:`query_via_tmp` — dense scratch-array join over *mutable*
   labels; this is what the pruning test inside Algorithm 1 uses, and it
   works mid-build when labels are unsorted.
 * :func:`query_numpy` — vectorised ``np.intersect1d`` join, for the
   query-implementation ablation.
-
-:func:`query_distance_batch` answers many pairs at once with a single
-sort-merge over the flat CSR label arrays — the batch serving path.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import ctypes
+import numbers
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import native
 from repro.core.labels import LabelStore
 from repro.errors import GraphError
 from repro.types import INF, QueryResult
 
 __all__ = [
+    "merge_join",
     "query_distance",
     "query_distance_batch",
     "query_via_tmp",
@@ -37,120 +41,98 @@ __all__ = [
     "query_candidates",
 ]
 
-# Below this many pairs the numpy setup cost exceeds the scalar loop.
-_BATCH_FALLBACK_PAIRS = 32
+#: ``pq_join``'s ``out``: hub and entries consumed, or after a NaN an
+#: error code (-2 a vertex outside ``[0, n)``, -3 a run outside the
+#: label arrays) and the vertex.
+_Out = ctypes.c_int64 * 2
 
 
-def query_distance(store: LabelStore, s: int, t: int) -> float:
-    """Distance between *s* and *t* by sorted merge join.
+def merge_join(store: LabelStore, s: int, t: int) -> Tuple[float, int, int]:
+    """QUERY(s, t) in Python, the reference for ``pq_join``:
+    ``(distance, hub, scanned)``.
 
-    Requires :meth:`LabelStore.finalize` to have been called.  ``s == t``
-    returns 0 (the trivial path), matching Dijkstra.
+    The least float64 sum ``d(u, s) + d(u, t)`` over the common hubs
+    (``inf`` when there is none, 0 when ``s == t``), the rank of the
+    first hub reaching it (-1 when none does), and the label entries
+    consumed on both sides (``i + j``).
+
+    Raises:
+        GraphError: for *s* or *t* not an integer in ``[0, n)``.
     """
+    n = store.n
+    for v in (s, t):
+        if not (isinstance(v, numbers.Integral) and 0 <= v < n):
+            raise GraphError(f"vertex {v} out of range [0, {n})", vertex=v)
     if s == t:
-        return 0.0
-    hs = store.finalized_hubs(s)
-    ds = store.finalized_dists(s)
-    ht = store.finalized_hubs(t)
-    dt = store.finalized_dists(t)
+        return 0.0, -1, 0
+    hs = store.finalized_hubs(s).tolist()
+    ds = store.finalized_dists(s).tolist()
+    ht = store.finalized_hubs(t).tolist()
+    dt = store.finalized_dists(t).tolist()
     i = j = 0
     ls, lt = len(hs), len(ht)
-    best = INF
+    best, hub = INF, -1
     while i < ls and j < lt:
         a, b = hs[i], ht[j]
         if a == b:
             total = ds[i] + dt[j]
             if total < best:
-                best = total
+                best, hub = total, a
             i += 1
             j += 1
         elif a < b:
             i += 1
         else:
             j += 1
-    return float(best)
+    return float(best), hub, i + j
 
 
-def _label_runs(
-    indptr: np.ndarray, verts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat-array positions of the label runs of *verts*, concatenated.
-
-    Returns ``(positions, sizes)`` where ``positions`` indexes the flat
-    hub/dist arrays and ``sizes[k]`` is the label size of ``verts[k]``.
-    """
-    starts = np.asarray(indptr[verts], dtype=np.int64)
-    sizes = np.asarray(indptr[verts + 1], dtype=np.int64) - starts
-    total = int(sizes.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), sizes
-    excl = np.zeros(len(starts), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=excl[1:])
-    positions = np.repeat(starts - excl, sizes) + np.arange(
-        total, dtype=np.int64
-    )
-    return positions, sizes
+def _kernel(store: LabelStore) -> Optional[Tuple[Any, Tuple[Any, ...]]]:
+    """The compiled library and *store*'s query context (held while the
+    kernel reads it), or None without a compiler or finalized labels."""
+    query = store.query_context()
+    lib = None if query is None else native.load()
+    return None if lib is None else (lib, query)
 
 
-def query_distance_batch(store: LabelStore, pairs) -> np.ndarray:
-    """Distances for many ``(s, t)`` pairs in one vectorised merge join.
+def _join(
+    store: LabelStore, s: int, t: int, out: Optional[ctypes.Array]
+) -> Optional[float]:
+    """``pq_join`` on *store*, or None where :func:`merge_join` must
+    answer: no kernel, or *s* or *t* not an int64 in ``[0, n)``."""
+    kernel = _kernel(store)
+    try:
+        if kernel is None or not (0 <= s < store.n and 0 <= t < store.n):
+            return None
+        d = kernel[0].pq_join(kernel[1][0], s, t, out)
+    except (TypeError, ctypes.ArgumentError):
+        return None
+    if d != d:
+        raise _failure(kernel, store.n, s, t)
+    return d
 
-    Bit-identical to calling :func:`query_distance` per pair: both paths
-    form the same float64 sums ``d(u, s) + d(u, t)`` and take an exact
-    minimum.  The join tags every label entry with a composite key
-    ``pair_id * n + hub`` — globally sorted and unique because hubs
-    strictly increase within each finalized label — intersects the two
-    sides with one ``np.searchsorted`` membership probe (both key
-    arrays are already sorted, so no re-sort is needed), and min-reduces
-    per pair with ``np.minimum.reduceat``.  Below
-    :data:`_BATCH_FALLBACK_PAIRS` pairs the numpy setup cost dominates,
-    so small batches run the scalar loop.
 
-    Args:
-        store: a finalized (or finalizable) label store.
-        pairs: ``(m, 2)`` array-like of vertex ids.
-
-    Returns:
-        float64 array of length *m*; unreachable pairs get ``inf``.
-
-    Raises:
-        GraphError: for malformed *pairs* or out-of-range vertex ids.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or (pairs.size and pairs.shape[1] != 2):
-        raise GraphError("pairs must be an (m, 2) array of vertex ids")
-    m = len(pairs)
-    if m == 0:
-        return np.empty(0, dtype=np.float64)
-    n = store.n
-    if int(pairs.min()) < 0 or int(pairs.max()) >= n:
-        bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
-        raise GraphError(
-            f"pair ({int(bad[0])}, {int(bad[1])}) out of range [0, {n})"
+def _failure(kernel: Tuple[Any, Any], n: int, s: int, t: int) -> GraphError:
+    """The error for a pair ``pq_join`` rejected."""
+    out = _Out()
+    kernel[0].pq_join(kernel[1][0], s, t, out)
+    if out[0] == -3:
+        return GraphError(
+            f"label run of vertex {out[1]} lies outside the label arrays",
+            vertex=out[1],
         )
-    if m < _BATCH_FALLBACK_PAIRS or m * max(n, 1) > 2**62:
-        return np.array(
-            [query_distance(store, int(s), int(t)) for s, t in pairs],
-            dtype=np.float64,
-        )
-    indptr, hubs, dists = store.finalized_arrays()
-    pos_s, sizes_s = _label_runs(indptr, pairs[:, 0])
-    pos_t, sizes_t = _label_runs(indptr, pairs[:, 1])
-    keys_s = np.repeat(np.arange(m, dtype=np.int64), sizes_s) * n + hubs[pos_s]
-    keys_t = np.repeat(np.arange(m, dtype=np.int64), sizes_t) * n + hubs[pos_t]
-    out = np.full(m, INF, dtype=np.float64)
-    if len(keys_s) and len(keys_t):
-        # Probe the (sorted, unique) s-side keys into the t-side.
-        loc = np.searchsorted(keys_t, keys_s)
-        loc_safe = np.minimum(loc, len(keys_t) - 1)
-        hit = keys_t[loc_safe] == keys_s
-        if hit.any():
-            sums = dists[pos_s[hit]] + dists[pos_t[loc_safe[hit]]]
-            pair_of = keys_s[hit] // n
-            heads = np.flatnonzero(np.diff(pair_of, prepend=-1))
-            out[pair_of[heads]] = np.minimum.reduceat(sums, heads)
-    out[pairs[:, 0] == pairs[:, 1]] = 0.0
-    return out
+    return GraphError(f"vertex {out[1]} out of range [0, {n})", vertex=out[1])
+
+
+def query_distance(store: LabelStore, s: int, t: int) -> float:
+    """Distance between *s* and *t* by sorted merge join.
+
+    Requires :meth:`LabelStore.finalize` to have been called.  ``s == t``
+    returns 0 (the trivial path), matching Dijkstra.  A vertex outside
+    ``[0, n)`` or a corrupt label run is a :class:`GraphError`.
+    """
+    d = _join(store, s, t, None)
+    return merge_join(store, s, t)[0] if d is None else d
 
 
 def query_result(store: LabelStore, s: int, t: int) -> QueryResult:
@@ -162,30 +144,44 @@ def query_result(store: LabelStore, s: int, t: int) -> QueryResult:
     sides (``i + j``), the same accounting :func:`query_candidates`
     reports to EXPLAIN.
     """
-    if s == t:
-        return QueryResult(distance=0.0, hub=None, entries_scanned=0)
-    hs = store.finalized_hubs(s)
-    ds = store.finalized_dists(s)
-    ht = store.finalized_hubs(t)
-    dt = store.finalized_dists(t)
-    i = j = 0
-    ls, lt = len(hs), len(ht)
-    best = INF
-    best_hub: Optional[int] = None
-    while i < ls and j < lt:
-        a, b = hs[i], ht[j]
-        if a == b:
-            total = ds[i] + dt[j]
-            if total < best:
-                best = total
-                best_hub = int(a)
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return QueryResult(distance=float(best), hub=best_hub, entries_scanned=i + j)
+    out = _Out()
+    d = _join(store, s, t, out)
+    hub, scanned = out
+    if d is None:
+        d, hub, scanned = merge_join(store, s, t)
+    return QueryResult(
+        distance=d, hub=None if hub < 0 else hub, entries_scanned=scanned
+    )
+
+
+def query_distance_batch(store: LabelStore, pairs) -> np.ndarray:
+    """Distances for an ``(m, 2)`` array-like of ``(s, t)`` pairs, as a
+    float64 array (``inf`` for unreachable pairs), bit-identical to
+    :func:`query_distance` per pair: one ``pq_batch`` call, or
+    :func:`merge_join` per pair without a compiler.  Finalizes *store*.
+
+    Raises:
+        GraphError: for malformed *pairs* or out-of-range vertex ids.
+    """
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or (
+        pairs.size and (pairs.shape[1] != 2 or pairs.dtype.kind not in "iu")
+    ):
+        raise GraphError("pairs must be an (m, 2) array of integer vertex ids")
+    pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+    m = len(pairs)
+    out = np.empty(m, dtype=np.float64)
+    store.finalize()
+    kernel = _kernel(store)
+    if kernel is None:
+        for k, (s, t) in enumerate(pairs.tolist()):
+            out[k] = merge_join(store, s, t)[0]
+        return out
+    lib, query = kernel
+    k = lib.pq_batch(query[0], pairs.ctypes.data, m, out.ctypes.data)
+    if k < m:
+        raise _failure(kernel, store.n, *pairs[k].tolist())
+    return out
 
 
 def query_candidates(

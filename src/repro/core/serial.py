@@ -17,6 +17,7 @@ from repro.core.engines import make_engine
 from repro.graph.csr import CSRGraph
 from repro.graph.order import by_degree
 from repro.obs import buildmon as _buildmon
+from repro.obs import config as _obs_config
 from repro.obs import trace as _trace
 from repro.obs.timers import PhaseTimer
 from repro.types import IndexStats, SearchStats
@@ -65,16 +66,27 @@ def build_serial(
     with timer.phase("search"), _trace.span(
         "build_serial", n=graph.num_vertices
     ):
-        for root in search.order.tolist():
-            root_stats = SearchStats() if collect else None
-            with _trace.span("root_search", root=root, worker=0) as sp:
-                delta = search.run(root, store, root_stats)
-                search.commit(root, delta, store)
-                sp.set(labels=len(delta))
-            if collect_per_root:
-                per_root.append(root_stats)
-            if monitor is not None:
-                monitor.root_done(0, root, stats=root_stats)
+        # With tracing off the loop opens no span: per-root Python
+        # outside run and commit is most of what a serial build spends
+        # beyond the search and the append.
+        traced = _obs_config.TRACING
+        try:
+            for root in search.order.tolist():
+                root_stats = SearchStats() if collect else None
+                if traced:
+                    with _trace.span("root_search", root=root, worker=0) as sp:
+                        delta = search.run(root, store, root_stats)
+                        search.commit(root, delta, store)
+                        sp.set(labels=len(delta))
+                else:
+                    delta = search.run(root, store, root_stats)
+                    search.commit(root, delta, store)
+                if collect_per_root:
+                    per_root.append(root_stats)
+                if monitor is not None:
+                    monitor.root_done(0, root, stats=root_stats)
+        finally:
+            search.flush_metrics()
     elapsed = time.perf_counter() - t0
 
     with timer.phase("finalize"):

@@ -7,8 +7,9 @@ without invalidating these references.
 
 Call sites guard updates with ``if config.METRICS`` themselves when the
 update is per-inner-loop; the ``record_*`` helpers below bundle the
-common multi-counter bumps (one per root search, per sync round, ...)
-and include the guard.
+common multi-counter bumps (one per sync round, per request, ...) and
+include the guard.  Root searches are summed per engine by
+:class:`SearchTally` and flushed once per builder loop.
 """
 
 from __future__ import annotations
@@ -236,18 +237,48 @@ KNOWN_SERVICE_OPS = frozenset(
 # ----------------------------------------------------------------------
 # Bundled record helpers (one call per instrumented operation)
 # ----------------------------------------------------------------------
-def record_search(
-    settled: int, pruned: int, labels: int, pops: int, scans: int
-) -> None:
-    """Record one completed pruned root search (any execution mode)."""
-    if not _config.METRICS:
-        return
-    BUILD_ROOTS.inc()
-    BUILD_SETTLED.inc(settled)
-    BUILD_PRUNE_HITS.inc(pruned)
-    BUILD_LABELS.inc(labels)
-    BUILD_HEAP_POPS.inc(pops)
-    BUILD_QUERY_SCANS.inc(scans)
+class SearchTally:
+    """One engine's pruned root searches, summed as they complete and
+    added to the ``parapll_build_*`` counters by :meth:`flush`.
+
+    Each builder flushes its engine once at the end of its loop (a
+    procs worker once per block), so a root costs a few additions
+    instead of six counter updates.
+    """
+
+    __slots__ = ("roots", "settled", "pruned", "labels", "pops", "scans")
+
+    def __init__(self) -> None:
+        self._zero()
+
+    def _zero(self) -> None:
+        self.roots = self.settled = self.pruned = 0
+        self.labels = self.pops = self.scans = 0
+
+    def add(
+        self, settled: int, pruned: int, labels: int, pops: int, scans: int
+    ) -> None:
+        """Count one completed root search (with metrics on)."""
+        if not _config.METRICS:
+            return
+        self.roots += 1
+        self.settled += settled
+        self.pruned += pruned
+        self.labels += labels
+        self.pops += pops
+        self.scans += scans
+
+    def flush(self) -> None:
+        """Add the sums to the build counters, and start again from 0."""
+        if not self.roots:
+            return
+        BUILD_ROOTS.inc(self.roots)
+        BUILD_SETTLED.inc(self.settled)
+        BUILD_PRUNE_HITS.inc(self.pruned)
+        BUILD_LABELS.inc(self.labels)
+        BUILD_HEAP_POPS.inc(self.pops)
+        BUILD_QUERY_SCANS.inc(self.scans)
+        self._zero()
 
 
 def record_build_progress(

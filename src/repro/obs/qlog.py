@@ -23,12 +23,12 @@ One record per sampled query::
   stepped wall clock cannot corrupt.
 * ``op`` — ``"distance"`` for point lookups, ``"batch"`` for pairs
   served inside a batch request.
-* ``latency_us`` — service time in microseconds (for vectorised batch
+* ``latency_us`` — service time in microseconds (for batch-query
   misses this is the batch wall amortised over its pairs).
 * ``cache_hit`` — answered from the oracle's LRU.
 * ``entries_scanned`` — label entries the merge join consumed (0 for
-  cache hits and for pairs answered by the vectorised batch kernel,
-  which does not track per-pair scan counts).
+  cache hits and for pairs answered by the batch query, which does not
+  track per-pair scan counts).
 * ``outcome`` — ``"ok"``, ``"unreachable"``, ``"error"`` or ``"shed"``
   (fast-failed by the server's SLO load shedder).
 * ``req_id`` — the server request id when the query arrived over TCP

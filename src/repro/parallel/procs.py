@@ -183,6 +183,7 @@ def _worker_main(
 
     relay_client = None
     shared_graph = None
+    search = None
     log: Optional[LabelLog] = None
     try:
         if relay is not None:
@@ -235,6 +236,7 @@ def _worker_main(
                 ranks.append(search.rank_of(root))
                 per_root.append((len(delta), _pack_stats(root_stats)))
             root = None
+            search.flush_metrics()
             own_ranks = np.array(ranks, dtype=np.int64)
             hub_ranks = np.repeat(own_ranks, [k for k, _s in per_root])
             conn.send((
@@ -268,6 +270,8 @@ def _worker_main(
         except (OSError, BrokenPipeError):
             pass  # parent already gone; exception was flight-recorded
     finally:
+        if search is not None:
+            search.flush_metrics()
         if relay_client is not None:
             relay_client.close()
         if log is not None:

@@ -161,6 +161,8 @@ def build_parallel_threads(
                 error=repr(exc),
             )
             errors.append(WorkerFailure(worker=worker_id, root=root, exc=exc))
+        finally:
+            search.flush_metrics()
 
     t0 = time.perf_counter()
     with _trace.span(

@@ -152,15 +152,16 @@ class DistanceOracle:
         """Distances for many ``(s, t)`` pairs.
 
         Cache hits are served from the LRU exactly as :meth:`distance`
-        would; all misses go through one vectorised merge join
+        would; all misses go through one batch query
         (:meth:`PLLIndex.distance_batch
-        <repro.core.index.PLLIndex.distance_batch>`) instead of a
-        per-pair Python loop, and are inserted into the cache after.
-        Per-pair counters advance as if each pair were served
-        individually.  With a query-log recorder installed, each pair is
-        independently sampled and recorded with ``op="batch"`` and the
-        batch wall amortised over its pairs (the vectorised kernel does
-        not time or scan-count pairs individually).
+        <repro.core.index.PLLIndex.distance_batch>`, one compiled call
+        looping the merge join over the pairs) instead of a per-pair
+        Python loop, and are inserted into the cache after.  Per-pair
+        counters advance as if each pair were served individually.  With
+        a query-log recorder installed, each pair is independently
+        sampled and recorded with ``op="batch"`` and the batch wall
+        amortised over its pairs (the batch call does not time or
+        scan-count pairs individually).
         """
         self.start_batch()
         norm = [(int(s), int(t)) for s, t in pairs]

@@ -276,6 +276,7 @@ class IntraNodeSimulator:
                     )
                 seq += 1
                 heapq.heappush(events, (t, self._EV_FREE, seq, (w,)))
+        engine.flush_metrics()
 
     # ------------------------------------------------------------------
     @property

@@ -235,7 +235,8 @@ class TestWrappedStoreMutators:
         "MUTATORS", "n", "arena", "hubs_of", "dists_of", "entries_of",
         "label_size", "label_sizes", "total_entries", "avg_label_size",
         "finalize", "finalized_hubs", "finalized_dists", "finalized_arrays",
-        "memory_breakdown", "copy", "to_arrays", "from_arrays", "from_entries",
+        "memory_breakdown", "query_context", "copy", "to_arrays", "from_arrays",
+        "from_entries",
     }
     CALLS = {
         "add": lambda s: s.add(0, 1, 2.0),

@@ -177,6 +177,9 @@ class _ExplodingEngine:
     def run(self, root, store, stats=None):
         raise RuntimeError(f"engine exploded on root {root}")
 
+    def flush_metrics(self):
+        pass
+
     def rank_of(self, root):
         return int(self._order.index(root))
 

@@ -21,7 +21,13 @@ from repro.core import pruned_dijkstra
 from repro.core.index import PLLIndex
 from repro.core.labels import Delta, LabelStore
 from repro.core.pruned_dijkstra import PrunedDijkstra
-from repro.core.query import query_distance, query_numpy
+from repro.core.query import (
+    merge_join,
+    query_distance,
+    query_distance_batch,
+    query_numpy,
+    query_result,
+)
 from repro.core.serial import build_serial
 from repro.graph.builder import GraphBuilder
 from repro.graph.order import by_random
@@ -232,6 +238,92 @@ def test_kernel_matches_reference_loop(graph, seed):
     assert stores[0] == stores[1]
     for a, b in zip(stores[0].finalized_arrays(), stores[1].finalized_arrays()):
         np.testing.assert_array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# The compiled query join against the Python reference
+# ----------------------------------------------------------------------
+@st.composite
+def label_stores(draw, max_n=8):
+    """A finalized store from random entries: empty labels likely,
+    distances from a few values (and inf), so hub sums tie often."""
+    n = draw(st.integers(1, max_n))
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 1e-9, math.inf]),
+            ),
+            max_size=30,
+        )
+    )
+    columns = list(zip(*entries)) or [(), (), ()]
+    verts, hubs, dists = (
+        np.array(c, dtype)
+        for c, dtype in zip(columns, (np.int64, np.int64, np.float64))
+    )
+    return LabelStore.from_entries(n, verts, hubs, dists)
+
+
+def _loaded_stores(index, tmp_path):
+    """*index*'s store as built, then loaded from npz, dir and mmap'd dir."""
+    index.save(tmp_path / "x.npz")
+    index.save(tmp_path / "x.index", format="dir")
+    return [
+        index.store,
+        PLLIndex.load(tmp_path / "x.npz").store,
+        PLLIndex.load(tmp_path / "x.index").store,
+        PLLIndex.load(tmp_path / "x.index", mmap=True).store,
+    ]
+
+
+def _assert_join_matches_reference(store):
+    """Compiled distance, hub and scan count equal the reference's bit
+    for bit, pair by pair and as one batch; s == t included."""
+    assert store.query_context() is not None
+    pairs = [(s, t) for s in range(store.n) for t in range(store.n)]
+    want = [merge_join(store, s, t) for s, t in pairs]
+    dists = np.array([d for d, _hub, _scanned in want])
+    got = np.array([query_distance(store, s, t) for s, t in pairs])
+    assert got.tobytes() == dists.tobytes()
+    assert query_distance_batch(store, pairs).tobytes() == dists.tobytes()
+    for (s, t), (d, hub, scanned) in zip(pairs, want):
+        res = query_result(store, s, t)
+        assert np.float64(res.distance).tobytes() == np.float64(d).tobytes()
+        assert res.hub == (None if hub < 0 else hub)
+        assert res.entries_scanned == scanned
+
+
+@pytest.mark.usefixtures("kernel")
+@given(tied_graphs(), st.integers(0, 10), label_stores())
+@settings(max_examples=40, deadline=None)
+def test_query_kernel_matches_reference(tmp_path_factory, graph, seed, labels):
+    """Built stores (isolated vertices, disconnected parts) and random
+    ones (empty labels, ties), each as built and loaded back."""
+    tmp_path = tmp_path_factory.mktemp("q")
+    built = PLLIndex.build(graph, order=by_random(graph, seed=seed))
+    adopted = PLLIndex(labels, np.arange(labels.n))
+    for index in (built, adopted):
+        for store in _loaded_stores(index, tmp_path):
+            _assert_join_matches_reference(store)
+
+
+@pytest.mark.usefixtures("kernel")
+@given(label_stores())
+@settings(max_examples=40, deadline=None)
+def test_adopted_foreign_arrays_answer_alike(labels):
+    """A store adopted from non-contiguous or foreign-dtype arrays
+    answers as the store they came from."""
+    indptr, hubs, dists = labels.finalized_arrays()
+    strided = [np.repeat(a, 2)[::2] for a in (indptr, hubs, dists)]
+    foreign = [indptr.astype(">i8"), hubs.astype(np.int32), dists.astype(">f8")]
+    pairs = [(s, t) for s in range(labels.n) for t in range(labels.n)]
+    want = query_distance_batch(labels, pairs).tobytes()
+    for arrays in (strided, foreign):
+        store = LabelStore.from_arrays(*arrays)
+        _assert_join_matches_reference(store)
+        assert query_distance_batch(store, pairs).tobytes() == want
 
 
 def _serial(graph):

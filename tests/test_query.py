@@ -1,14 +1,17 @@
 """Tests for the QUERY(s, t, L) implementations."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.labels import LabelStore
 from repro.core.query import (
     clear_tmp,
     load_tmp,
+    merge_join,
     query_candidates,
     query_distance,
     query_distance_batch,
@@ -16,6 +19,7 @@ from repro.core.query import (
     query_result,
     query_via_tmp,
 )
+from repro.errors import GraphError
 
 INF = math.inf
 
@@ -128,8 +132,7 @@ class TestBatch:
         ]
 
     def test_vectorized_path_matches_scalar(self, store):
-        # Repeat the pair grid past the fallback threshold so the
-        # composite-key join runs.
+        # A batch of 160 pairs, repeats included, in one call.
         pairs = [(s, t) for s in range(4) for t in range(4)] * 10
         out = query_distance_batch(store, pairs)
         assert len(pairs) >= 32
@@ -145,6 +148,69 @@ class TestBatch:
     def test_duplicate_pairs(self, store):
         out = query_distance_batch(store, [(2, 3)] * 40)
         assert out.tolist() == [query_distance(store, 2, 3)] * 40
+
+
+@pytest.fixture(params=["compiled", "python"])
+def join_path(request):
+    """Run the test on the compiled join, then on the Python reference."""
+    if request.param == "python":
+        with mock.patch.object(native, "load", return_value=None):
+            yield request.param
+    elif native.load() is None:
+        pytest.skip("no C compiler: the compiled join is unavailable")
+    else:
+        yield request.param
+
+
+@pytest.mark.usefixtures("join_path")
+class TestOutOfRange:
+    """A vertex outside [0, n) is a GraphError naming it, never a
+    wrapped index (``indptr[-1]``) or a bare numpy IndexError."""
+
+    @pytest.mark.parametrize("query", [query_distance, query_result])
+    @pytest.mark.parametrize(
+        "s, t, bad", [(-1, 2, -1), (2, -1, -1), (4, 2, 4), (2, 4, 4), (-1, -1, -1)]
+    )
+    def test_scalar_queries_raise(self, store, query, s, t, bad):
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            query(store, s, t)
+
+    def test_batch_raises(self, store):
+        with pytest.raises(GraphError, match="vertex 4 out of range"):
+            query_distance_batch(store, [(0, 1), (2, 4)])
+
+    def test_batch_rejects_fractional_ids(self, store):
+        # Casting to int64 would answer (0.9, 3) as (0, 3).
+        with pytest.raises(GraphError, match="integer vertex ids"):
+            query_distance_batch(store, [(0.9, 3)])
+
+    def test_huge_vertex_does_not_wrap(self, store):
+        with pytest.raises(GraphError, match="out of range"):
+            query_distance(store, 2**64, 1)
+
+
+class TestCompiledJoin:
+    def test_matches_reference(self, store, join_path):
+        for s in range(4):
+            for t in range(4):
+                d, hub, scanned = merge_join(store, s, t)
+                res = query_result(store, s, t)
+                assert query_distance(store, s, t) == res.distance == d
+                assert res.hub == (None if hub < 0 else hub)
+                assert res.entries_scanned == scanned
+
+    def test_corrupt_run_is_a_graph_error(self):
+        if native.load() is None:
+            pytest.skip("no C compiler: the compiled join is unavailable")
+        # L(0) claims entries [0, 5) of a 2-entry array.
+        bad = LabelStore.from_arrays(
+            np.array([0, 5, 2]), np.array([0, 1]), np.array([0.0, 1.0]),
+            validate=False,
+        )
+        with pytest.raises(GraphError, match="vertex 0"):
+            query_distance(bad, 0, 1)
+        with pytest.raises(GraphError, match="vertex 0"):
+            query_distance_batch(bad, [(0, 1)])
 
 
 class TestTmpHelpers:

@@ -103,6 +103,9 @@ def test_poisoned_root_fails_fast(random_graph, monkeypatch):
         def commit(self, root, delta, store):
             return self._inner.commit(root, delta, store)
 
+        def flush_metrics(self):
+            self._inner.flush_metrics()
+
         def rank_of(self, v):
             return self._inner.rank_of(v)
 
