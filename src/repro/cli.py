@@ -256,7 +256,8 @@ def _print_final_snapshot(server, oracle) -> None:
         f"served {stats.queries} point queries "
         f"({stats.cache_hits} cache hits, "
         f"{stats.batch_queries} batches), "
-        f"{server.shed_count} requests shed"
+        f"{server.shed_count} requests shed, "
+        f"{server.disconnects} client disconnects"
     )
     windows = status["windowed_latency_quantiles"]
     for window in sorted(windows):

@@ -172,6 +172,11 @@ SERVICE_SHED = _REG.counter(
     "Requests fast-failed by the SLO load shedder",
     labels=("op",),
 )
+SERVICE_DISCONNECTS = _REG.counter(
+    "parapll_service_disconnects_total",
+    "Connections the client reset or closed while the server was "
+    "reading from or writing to them",
+)
 
 # ----------------------------------------------------------------------
 # SLO engine (sliding-window objectives; see repro.obs.slo)
@@ -322,7 +327,7 @@ def record_request(
         ok: whether the request succeeded.
         include_latency: pass ``False`` when the caller records latency
             at a finer grain itself (the batch op observes *per-pair*
-            latencies via :func:`record_batch_pair` instead of skewing
+            latencies via :func:`record_batch_pairs` instead of skewing
             the histogram with one whole-request sample).
     """
     if not _config.METRICS:
@@ -335,11 +340,12 @@ def record_request(
         SERVICE_ERRORS.labels(op=label).inc()
 
 
-def record_batch_pair(seconds: float) -> None:
-    """Record one pair's latency inside a batch request."""
+def record_batch_pairs(seconds: float, pairs: int) -> None:
+    """Record *pairs* per-pair latencies of *seconds* each (a batch's
+    time divided by its pairs) with one histogram update."""
     if not _config.METRICS:
         return
-    SERVICE_LATENCY.labels(op="batch").observe(seconds)
+    SERVICE_LATENCY.labels(op="batch").observe(seconds, pairs)
 
 
 def record_slow_request(op: Optional[str]) -> None:

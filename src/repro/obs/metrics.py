@@ -223,12 +223,13 @@ class _HistogramSeries:
         self._sum = 0.0
         self._count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record *count* observations of *value* under one lock."""
         idx = bisect_left(self._bounds, value)
         with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
+            self._counts[idx] += count
+            self._sum += value * count
+            self._count += count
 
     def value(self) -> Dict[str, object]:
         """Snapshot: cumulative bucket counts, sum and count."""
@@ -400,9 +401,10 @@ class Histogram(_Metric):
     def _new_series(self) -> _HistogramSeries:
         return _HistogramSeries(self.buckets)
 
-    def observe(self, value: float) -> None:
-        """Record one observation on the (unlabeled) series."""
-        self._default().observe(value)
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record *count* observations of *value* on the (unlabeled)
+        series."""
+        self._default().observe(value, count)
 
     def value(self) -> Dict[str, object]:
         """Snapshot of the (unlabeled) series."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check import hooks as _check_hooks
 from repro.core.knn import KNNIndex
@@ -24,6 +24,10 @@ from repro.obs.instruments import ORACLE_CACHE_HITS, ORACLE_QUERIES
 __all__ = ["DistanceOracle", "OracleStats"]
 
 _INF = float("inf")
+
+#: Pairs per kernel call after the first when :meth:`DistanceOracle.batch`
+#: has a time budget; the budget is checked between chunks.
+BATCH_CHUNK = 256
 
 
 def _outcome(value: float) -> str:
@@ -148,7 +152,11 @@ class DistanceOracle:
             )
         return value
 
-    def batch(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
+    def batch(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        budget: Optional[float] = None,
+    ) -> List[float]:
         """Distances for many ``(s, t)`` pairs.
 
         Cache hits are served from the LRU exactly as :meth:`distance`
@@ -162,9 +170,31 @@ class DistanceOracle:
         sampled and recorded with ``op="batch"`` and the batch wall
         amortised over its pairs (the batch call does not time or
         scan-count pairs individually).
+
+        Args:
+            pairs: the ``(s, t)`` pairs.
+            budget: seconds the batch may take, or ``None`` for no
+                limit.  With a budget the first pair is served alone and
+                the rest in chunks of at most :data:`BATCH_CHUNK` pairs;
+                once *budget* has elapsed at a chunk boundary the
+                distances served so far are returned, so the result is
+                then shorter than *pairs*.  The first pair is always
+                served.
         """
-        self.start_batch()
         norm = [(int(s), int(t)) for s, t in pairs]
+        with self._lock:
+            self.stats.batch_queries += 1
+        if budget is None:
+            return self._serve(norm)
+        start = perf_counter()
+        out = self._serve(norm[:1])
+        while len(out) < len(norm) and perf_counter() - start < budget:
+            out += self._serve(norm[len(out) : len(out) + BATCH_CHUNK])
+        return out
+
+    def _serve(self, norm: List[Tuple[int, int]]) -> List[float]:
+        """One LRU pass over *norm*, then one kernel call for the
+        misses (the body of :meth:`batch`)."""
         m = len(norm)
         if m == 0:
             return []
@@ -173,10 +203,10 @@ class DistanceOracle:
         if _obs_config.METRICS:
             ORACLE_QUERIES.inc(m)
         out: List[float] = [0.0] * m
-        # Canonical (min, max) key -> positions in the batch; an
-        # OrderedDict both dedups repeated pairs and keeps the kernel's
-        # input order deterministic.
-        misses: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
+        # Canonical (min, max) key -> positions in the batch; the dict
+        # both dedups repeated pairs and keeps the kernel's input order
+        # deterministic.
+        misses: Dict[Tuple[int, int], List[int]] = {}
         hits = 0
         with self._lock:
             self.stats.queries += m
@@ -194,15 +224,14 @@ class DistanceOracle:
         if hits and _obs_config.METRICS:
             ORACLE_CACHE_HITS.inc(hits)
         if misses:
-            values = self.index.distance_batch(list(misses))
-            for (_, positions), value in zip(misses.items(), values):
-                value = float(value)
+            values = self.index.distance_batch(list(misses)).tolist()
+            for positions, value in zip(misses.values(), values):
                 for i in positions:
                     out[i] = value
             if self.cache_size:
                 with self._lock:
                     for key, value in zip(misses, values):
-                        self._cache[key] = float(value)
+                        self._cache[key] = value
                         self._cache.move_to_end(key)
                     while len(self._cache) > self.cache_size:
                         self._cache.popitem(last=False)
@@ -224,12 +253,6 @@ class DistanceOracle:
                         req_id=req_id,
                     )
         return out
-
-    def start_batch(self) -> None:
-        """Count one batch request (for callers that time pairs
-        individually and so call :meth:`distance` themselves)."""
-        with self._lock:
-            self.stats.batch_queries += 1
 
     def k_nearest(self, s: int, k: int) -> List[Tuple[int, float]]:
         """The *k* nearest vertices to *s* (exact, via inverted labels)."""

@@ -35,6 +35,21 @@ counted (``parapll_service_slow_requests_total``) and recorded as a
 ``slow_query`` flight-recorder event.  Lines that fail JSON
 decoding are counted and logged instead of silently answered.
 
+A ``batch`` request is one :meth:`DistanceOracle.batch` call: one LRU
+pass, then one compiled join call for all misses.  ``slow_query_seconds``
+is its deadline: the first pair is always served, the rest go in chunks
+with the deadline checked between them, and an aborted batch answers
+``ok: false`` with ``completed`` and the partial ``distances``.  The
+latency histogram gets one sample per pair (the batch's time divided by
+its pairs), and each pair is query-logged with ``op="batch"``.
+
+Every accepted connection has ``TCP_NODELAY`` set, so a reply leaves at
+once instead of waiting for the client's next request to carry the
+ACK.  A client that resets or closes its connection while a request is
+read or answered ends its handler cleanly: it is counted in
+``parapll_service_disconnects_total``, logged in one line and recorded
+as a ``client_disconnect`` flight event, with no traceback.
+
 The server is a stdlib ``ThreadingTCPServer``; one thread per
 connection, the oracle itself is thread-safe.  Intended for trusted
 local/internal callers (no authentication), like any sidecar cache.
@@ -58,9 +73,10 @@ from repro.obs import flightrec as _flightrec
 from repro.obs import qlog as _qlog
 from repro.obs import slo as _slo
 from repro.obs.instruments import (
+    SERVICE_DISCONNECTS,
     SERVICE_LATENCY,
     SERVICE_MALFORMED,
-    record_batch_pair,
+    record_batch_pairs,
     record_request,
     record_shed,
     record_slow_request,
@@ -88,7 +104,25 @@ def _encode(value: float) -> Any:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # TCP_NODELAY on every accepted connection: with Nagle on, a reply
+    # waits for the client's next request to carry the previous ACK.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:  # pragma: no cover - exercised via client
+        try:
+            self._serve_lines()
+        except ConnectionError as exc:
+            # The client reset or closed the connection while a read or
+            # a reply was in flight: count it and end this handler
+            # instead of letting socketserver print a traceback.
+            self.server.count_disconnect()  # type: ignore[attr-defined]
+            peer = "%s:%s" % tuple(self.client_address[:2])
+            logger.warning("client %s disconnected: %r", peer, exc)
+            _flightrec.record(
+                "client_disconnect", peer=peer, error=type(exc).__name__
+            )
+
+    def _serve_lines(self) -> None:  # pragma: no cover - via handle
         server = self.server
         oracle: DistanceOracle = server.oracle  # type: ignore[attr-defined]
         for raw in self.rfile:
@@ -261,8 +295,7 @@ def _dispatch(
         d = oracle.distance(int(req["s"]), int(req["t"]))
         return {"ok": True, "distance": _encode(d)}
     if op == "batch":
-        pairs = [(int(a), int(b)) for a, b in req["pairs"]]
-        return _dispatch_batch(oracle, pairs, server)
+        return _dispatch_batch(oracle, req["pairs"], server)
     if op == "knn":
         out = oracle.k_nearest(int(req["s"]), int(req["k"]))
         return {"ok": True, "neighbors": [[v, d] for v, d in out]}
@@ -366,41 +399,35 @@ def _dispatch(
 
 
 def _dispatch_batch(
-    oracle: DistanceOracle,
-    pairs: List[Tuple[int, int]],
-    server: Any = None,
+    oracle: DistanceOracle, pairs: Any, server: Any = None
 ) -> Dict[str, Any]:
-    """Serve one batch request with per-pair latency and a deadline.
+    """Serve one batch request through :meth:`DistanceOracle.batch`.
 
-    Each pair's latency is observed individually into the service
-    histogram (one whole-request sample would hide slow pairs behind a
-    large batch).  When the server's ``slow_query_seconds`` budget is
-    exhausted mid-batch, the remaining pairs are aborted: the response
+    The server's ``slow_query_seconds`` is the oracle's time budget:
+    the first pair is always served, and once the budget is spent at a
+    chunk boundary the remaining pairs are aborted.  The response then
     carries ``ok=false``, the partial ``distances``, and ``completed``
-    so the client can resume.
+    so the client can resume.  The latency histogram gets one sample
+    per served pair, each the batch's time divided by its pairs (one
+    whole-request sample would hide the pair count).
     """
-    oracle.start_batch()
-    deadline: Optional[float] = (
-        server.slow_query_seconds if server is not None else None
-    )
-    distances: List[Any] = []
-    start = time.perf_counter()
-    for i, (a, b) in enumerate(pairs):
-        if deadline is not None and i > 0:
-            if time.perf_counter() - start >= deadline:
-                return {
-                    "ok": False,
-                    "error": (
-                        f"batch aborted after {i}/{len(pairs)} pairs: "
-                        f"exceeded slow_query_seconds={deadline}"
-                    ),
-                    "completed": i,
-                    "distances": distances,
-                }
-        p0 = time.perf_counter()
-        d = oracle.distance(a, b)
-        record_batch_pair(time.perf_counter() - p0)
-        distances.append(_encode(d))
+    budget = server.slow_query_seconds if server is not None else None
+    t0 = time.perf_counter()
+    served = oracle.batch(pairs, budget=budget)
+    done = len(served)
+    if done:
+        record_batch_pairs((time.perf_counter() - t0) / done, done)
+    distances = [_encode(d) for d in served]
+    if done < len(pairs):
+        return {
+            "ok": False,
+            "error": (
+                f"batch aborted after {done}/{len(pairs)} pairs: "
+                f"exceeded slow_query_seconds={budget}"
+            ),
+            "completed": done,
+            "distances": distances,
+        }
     return {"ok": True, "distances": distances}
 
 
@@ -424,6 +451,10 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         self.shed_burn_rate: Optional[float] = None
         self.shed_count = 0
         self._shed_lock = _check_hooks.make_lock("server._shed_lock")
+        self.disconnect_count = 0
+        self._disconnect_lock = _check_hooks.make_lock(
+            "server._disconnect_lock"
+        )
 
     def should_shed(self) -> bool:
         """Whether the load shedder is currently engaged."""
@@ -436,6 +467,12 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         """Record one fast-failed request (thread-safe)."""
         with self._shed_lock:
             self.shed_count += 1
+
+    def count_disconnect(self) -> None:
+        """Record one connection the client dropped (thread-safe)."""
+        with self._disconnect_lock:
+            self.disconnect_count += 1
+        SERVICE_DISCONNECTS.inc()
 
     def next_request_id(self) -> int:
         """A server-unique id for one incoming request line."""
@@ -523,6 +560,11 @@ class DistanceServer:
     def shed_count(self) -> int:
         """Requests fast-failed by the load shedder since startup."""
         return self._tcp.shed_count
+
+    @property
+    def disconnects(self) -> int:
+        """Connections the client dropped mid-request since startup."""
+        return self._tcp.disconnect_count
 
     @property
     def port(self) -> int:

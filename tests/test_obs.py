@@ -140,6 +140,16 @@ class TestHistogram:
         assert snap["count"] == 5
         assert snap["sum"] == pytest.approx(32.0)
 
+    def test_observe_count_equals_repeated_observes(self):
+        reg = MetricsRegistry()
+        once = reg.histogram("once", "help", buckets=(1.0, 5.0))
+        each = reg.histogram("each", "help", buckets=(1.0, 5.0))
+        once.observe(2.0, count=3)
+        for _ in range(3):
+            each.observe(2.0)
+        assert once.value() == each.value()
+        assert once.value()["count"] == 3
+
     def test_bucket_mismatch_rejected(self):
         reg = MetricsRegistry()
         reg.histogram("h", "help", buckets=(1.0, 2.0))

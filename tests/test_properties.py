@@ -5,7 +5,9 @@ weighted graphs — is exercised here over randomly generated edge lists,
 orderings, and parallel schedules.
 """
 
+import itertools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,8 @@ from repro.core.query import (
 from repro.core.serial import build_serial
 from repro.graph.builder import GraphBuilder
 from repro.graph.order import by_random
+from repro.service.oracle import DistanceOracle
+from repro.service.server import _dispatch
 from repro.sim.executor import simulate_intra_node
 from repro.types import SearchStats
 
@@ -376,6 +380,57 @@ def test_parallel_builders_with_kernel_are_exact(build, graph):
     )
     assert report.ok, report.render()
     assert report.checked_entries == entries
+
+
+# ----------------------------------------------------------------------
+# The serving paths against the reference join
+# ----------------------------------------------------------------------
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@given(tied_graphs(), st.integers(0, 10))
+@settings(max_examples=15, deadline=None)
+def test_serving_paths_match_reference_join(graph, seed):
+    """The oracle's point and batch paths and the server's batch op
+    answer bit for bit as ``merge_join``.  The batch holds every pair
+    next to its reverse and again shuffled, so a 2-entry LRU hits,
+    misses and evicts, and its symmetric keys serve reversed pairs."""
+    index = PLLIndex.build(graph, order=by_random(graph, seed=seed))
+    n = index.num_vertices
+    base = [(s, t) for s in range(n) for t in range(n)]
+    shuffled = list(base)
+    np.random.default_rng(seed).shuffle(shuffled)
+    pairs = [p for s, t in base for p in ((s, t), (t, s))] + shuffled
+    want = _bits([merge_join(index.store, s, t)[0] for s, t in pairs])
+
+    point = DistanceOracle(index)
+    assert _bits([point.distance(s, t) for s, t in pairs]) == want
+    # One LRU pass looks every pair up before it inserts the misses, so
+    # hits come from earlier calls: feed the pairs 1, 2, 3, 1, ... at a
+    # time, and each pair's reverse is cached by the call before.
+    small = DistanceOracle(index, cache_size=2)
+    got, i = [], 0
+    for size in itertools.cycle((1, 2, 3)):
+        if i >= len(pairs):
+            break
+        got += small.batch(pairs[i : i + size])
+        i += size
+    assert _bits(got) == want
+    assert 0 < small.stats.cache_hits < len(pairs)
+    keys = {(min(p), max(p)) for p in pairs}
+    assert small.cache_info() == (min(2, len(keys)), 2)
+    # The server's batch op, without and with a deadline (which serves
+    # the first pair alone, then chunks).
+    for server in (None, SimpleNamespace(slow_query_seconds=60.0)):
+        reply = _dispatch(
+            DistanceOracle(index, cache_size=2),
+            {"op": "batch", "pairs": [list(p) for p in pairs]},
+            server,
+        )
+        assert reply["ok"] is True
+        got = [math.inf if d == "inf" else d for d in reply["distances"]]
+        assert _bits(got) == want
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,20 @@ class TestOracle:
         entries, cap = oracle.cache_info()
         assert entries == 2 and cap == 2
 
+    def test_batch_budget_serves_first_pair_then_chunks(self, index):
+        from repro.service.oracle import BATCH_CHUNK
+
+        n = index.num_vertices
+        pairs = [(s % n, (5 * s + 2) % n) for s in range(2 * BATCH_CHUNK + 3)]
+        want = [index.distance(s, t) for s, t in pairs]
+        oracle = DistanceOracle(index, cache_size=0)
+        # A spent budget still serves the first pair, and only it.
+        assert oracle.batch(pairs, budget=0.0) == want[:1]
+        # An ample budget serves every chunk, in order.
+        assert oracle.batch(pairs, budget=60.0) == want
+        assert oracle.stats.batch_queries == 2
+        assert oracle.stats.queries == 1 + len(pairs)
+
     def test_batch_empty(self, index):
         oracle = DistanceOracle(index)
         assert oracle.batch([]) == []
@@ -524,6 +538,101 @@ class TestBatchLatencyAndDeadline:
         assert len(out) == 3
 
 
+    def test_batch_out_of_range_vertex_reply(self, index):
+        import json as _json
+        import socket
+
+        n = index.num_vertices
+        oracle = DistanceOracle(index)
+        with DistanceServer(oracle) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5
+            ) as sock:
+                f = sock.makefile("rwb")
+                # The bad vertex sits after the first pair, which the
+                # deadline rule serves on its own.
+                req = {"op": "batch", "pairs": [[0, 1], [2, n]]}
+                f.write(_json.dumps(req).encode() + b"\n")
+                f.flush()
+                reply = _json.loads(f.readline())
+        assert reply["ok"] is False
+        assert reply["error"] == str(
+            GraphError(f"vertex {n} out of range [0, {n})")
+        )
+        assert "distances" not in reply
+
+
+class TestConnectionHandling:
+    def test_accepted_socket_has_nodelay(self, index, monkeypatch):
+        import socket
+
+        from repro.service import server as server_mod
+
+        accepted = []
+        setup = server_mod._Handler.setup
+
+        def capture(handler):
+            setup(handler)
+            accepted.append(handler.connection)
+
+        monkeypatch.setattr(server_mod._Handler, "setup", capture)
+        with DistanceServer(DistanceOracle(index)) as server:
+            with DistanceClient("127.0.0.1", server.port) as client:
+                assert client.ping()
+                assert len(accepted) == 1
+                nodelay = accepted[0].getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        assert nodelay != 0
+
+    def test_client_reset_mid_batch_ends_cleanly(self, index, capfd):
+        import json as _json
+        import socket
+        import struct
+        import time
+
+        from repro import obs
+        from repro.obs.flightrec import get_recorder
+
+        obs.reset()
+        capfd.readouterr()
+        oracle = DistanceOracle(index)
+        with DistanceServer(oracle) as server:
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5
+            )
+            req = {"op": "batch", "pairs": [[0, 1], [2, 3], [4, 5]]}
+            sock.sendall((_json.dumps(req).encode() + b"\n") * 3)
+            # Wait until all three replies sit unread in the client's
+            # buffer, then reset: the server is blocked reading.
+            deadline = time.monotonic() + 5
+            while sock.recv(65536, socket.MSG_PEEK).count(b"\n") < 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            deadline = time.monotonic() + 5
+            while server.disconnects < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.disconnects == 1
+            # Other clients are still answered.
+            with DistanceClient("127.0.0.1", server.port) as client:
+                assert client.ping()
+                assert client.batch([(0, 1)]) == [index.distance(0, 1)]
+        by_name = {m["name"]: m for m in obs.get_registry().snapshot()}
+        counter = by_name["parapll_service_disconnects_total"]
+        assert counter["series"][0]["value"] == 1
+        events = [
+            e for e in get_recorder().snapshot() if e["kind"] == "client_disconnect"
+        ]
+        assert len(events) == 1
+        assert events[0]["attrs"]["error"] == "ConnectionResetError"
+        assert "Traceback" not in capfd.readouterr().err
+        obs.reset()
+
+
 class TestConcurrentIntrospection:
     def test_hammer_status_ops_during_batches(self, index):
         """Introspection ops stay consistent while batches are in
@@ -808,5 +917,7 @@ class TestSLOServing:
         records = read_qlog(sink.getvalue().splitlines())
         assert len(records) == 3
         assert all(r["req_id"] is not None for r in records)
-        # Both batch pairs share their request's id.
+        # Batch pairs are logged by the oracle's batch path, as batch
+        # pairs, and share their request's id.
+        assert [r["op"] for r in records] == ["distance", "batch", "batch"]
         assert records[1]["req_id"] == records[2]["req_id"]
